@@ -5,7 +5,6 @@ verification of the gadget and interpolation constructions.
 """
 
 from .scalar import (
-    GaussianRational,
     Scalar,
     approx_complex,
     format_scalar,

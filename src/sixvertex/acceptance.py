@@ -48,7 +48,7 @@ from .sampling import (
     random_p_params,
     random_params,
 )
-from .scalar import GaussianRational, Scalar, ZERO, approx_complex
+from .scalar import Scalar, ZERO, approx_complex
 from .signature import (
     NEQ2_MATRIX,
     SixVertexParams,
@@ -56,6 +56,7 @@ from .signature import (
     all_permutations,
     from_six_vertex,
     holographic_transform,
+    mat_mul,
     permute_variables,
     six_vertex_params,
 )
@@ -92,15 +93,7 @@ def criterion_1_oracle_equivalence(rng: random.Random):
 
 
 def criterion_2_holographic_invariance(rng: random.Random):
-    zt = tuple(tuple(Z_BASIS[c][r] for c in range(2)) for r in range(2))
-    ztz = tuple(
-        tuple(
-            sum((zt[r][k] * Z_BASIS[k][c] for k in range(2)), ZERO)
-            for c in range(2)
-        )
-        for r in range(2)
-    )
-    if ztz != NEQ2_MATRIX:
+    if mat_mul(tuple(zip(*Z_BASIS)), Z_BASIS) != NEQ2_MATRIX:
         return False, "Z^T Z != the disequality matrix"
     for i in range(50):
         n_vertices = rng.randint(1, 4)
@@ -237,8 +230,8 @@ def criterion_6_interpolation(rng: random.Random):
         ((3, 1), (1, 3), 1, (1, 1)),
     ]
     for (an, ad), (bn, bd), want_rank, want_gen in cases:
-        alpha = GaussianRational(Q(an, ad))
-        beta = GaussianRational(Q(bn, bd))
+        alpha = Scalar(Q(an, ad))
+        beta = Scalar(Q(bn, bd))
         lat = compute_lattice(alpha, beta)
         if lat.rank != want_rank or (want_gen and lat.generator != want_gen):
             return False, f"lattice({alpha},{beta}) = {lat}"

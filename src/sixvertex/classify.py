@@ -12,7 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalar import Scalar, ZERO, as_scalar, format_scalar, ratio_power_of_i
+from .scalar import (
+    I_POWERS,
+    Scalar,
+    ZERO,
+    as_scalar,
+    format_scalar,
+    ratio_power_of_i,
+)
 from .signature import (
     Signature,
     SignatureError,
@@ -289,7 +296,6 @@ def in_A(f: Signature) -> AReport:
 def reconstruct_from_a(cert: ACertificate, arity: int) -> Signature:
     values = [ZERO] * (1 << arity)
     d = len(cert.basis)
-    i_scalar = as_scalar("0+1i")
     cross_map = {(j, k): b for j, k, b in cert.cross}
     for u in range(1 << d):
         bits = tuple((u >> (d - 1 - j)) & 1 for j in range(d))
@@ -301,7 +307,7 @@ def reconstruct_from_a(cert: ACertificate, arity: int) -> Signature:
         e += 2 * sum(
             b for (j, k), b in cross_map.items() if bits[j] and bits[k]
         )
-        values[s] = cert.lam * i_scalar ** (e % 4)
+        values[s] = cert.lam * I_POWERS[e % 4]
     return Signature(arity, values)
 
 

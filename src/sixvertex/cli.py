@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .acceptance import LIEB, run_acceptance
+from .acceptance import CRITERIA, LIEB, run_acceptance
 from .classify import classify
 from .config import load_config
 from .contract import ContractionCapError, contract_eval, sequential_plan
@@ -31,7 +31,6 @@ from .interpolate import (
     InterpolationInstance,
     LatticeError,
     compute_lattice,
-    gaussian_from_scalar,
     interpolation_solve,
 )
 from .scalar import (
@@ -151,7 +150,15 @@ def cmd_ice(args, cfg) -> int:
 def cmd_selftest(args, cfg) -> int:
     indices = None
     if args.criteria:
-        indices = {int(tok) for tok in args.criteria.split(",")}
+        try:
+            indices = {int(tok) for tok in args.criteria.split(",")}
+        except ValueError as exc:
+            raise InputError(f"--criteria: {exc}") from exc
+        bad = sorted(i for i in indices if not 1 <= i <= len(CRITERIA))
+        if bad:
+            raise InputError(
+                f"--criteria: no criterion {bad}, valid are 1..{len(CRITERIA)}"
+            )
     results = run_acceptance(seed=cfg.deterministic_seed, indices=indices)
     all_ok = True
     for r in results:
@@ -229,13 +236,13 @@ def cmd_gadget(args, cfg) -> int:
 
 def cmd_interpolate(args, cfg) -> int:
     try:
-        alpha = gaussian_from_scalar(parse_scalar(args.alpha))
-        beta = gaussian_from_scalar(parse_scalar(args.beta))
+        alpha = parse_scalar(args.alpha)
+        beta = parse_scalar(args.beta)
         phi = parse_scalar(args.phi)
         psi = parse_scalar(args.psi)
         with open(args.values) as fh:
             n_values = tuple(parse_scalar(v) for v in json.load(fh))
-    except (OSError, json.JSONDecodeError, ScalarParseError, LatticeError) as exc:
+    except (OSError, json.JSONDecodeError, ScalarParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .grid import SignatureGrid, validate
 from .scalar import ONE, ZERO, Scalar
-from .signature import Signature, SixVertexParams, from_six_vertex
+from .signature import Signature, SixVertexParams, from_six_vertex, mat_mul
 
 __all__ = [
     "EvalResult",
@@ -37,17 +37,27 @@ class EvalResult:
     stats: dict
 
 
-def _port_layout(grid: SignatureGrid):
+def _port_layout(grid: SignatureGrid, second_end_flip: int):
     """Per-vertex list of (shift, edge_index, flip): the port at that shift
-    reads edge bit xor flip. Edge bit b means first-end port = b."""
+    reads edge bit xor flip. Edge bit b means first-end port = b; the second
+    end reads b xor second_end_flip (1 for disequality edges, 0 for
+    equality edges)."""
     layout = {v: [] for v in grid.vertices}
     for e, (p, q) in enumerate(grid.edges):
         layout[p.vertex].append((3 - p.slot, e, 0))
-        layout[q.vertex].append((3 - q.slot, e, 1))
+        layout[q.vertex].append((3 - q.slot, e, second_end_flip))
     return layout
 
 
-def brute_force_eval(grid: SignatureGrid, edge_cap: int = DEFAULT_EDGE_CAP) -> EvalResult:
+def _assignment_sum(
+    grid: SignatureGrid,
+    signatures: dict[int, Signature],
+    second_end_flip: int,
+    edge_cap: int,
+    method: str,
+) -> EvalResult:
+    """Sum over all 2^|E| edge assignments of the product of the vertex
+    values, vertex v evaluated with signatures[v]."""
     errors = validate(grid)
     if errors:
         raise ValueError("invalid grid: " + "; ".join(errors))
@@ -56,9 +66,9 @@ def brute_force_eval(grid: SignatureGrid, edge_cap: int = DEFAULT_EDGE_CAP) -> E
         raise TooLargeError(
             f"{m} edges exceeds brute-force cap {edge_cap}"
         )
-    layout = _port_layout(grid)
+    layout = _port_layout(grid, second_end_flip)
     vertices = [
-        (grid.vertices[v].values, layout[v]) for v in sorted(grid.vertices)
+        (signatures[v].values, layout[v]) for v in sorted(grid.vertices)
     ]
     total = ZERO
     for assign in range(1 << m):
@@ -74,7 +84,11 @@ def brute_force_eval(grid: SignatureGrid, edge_cap: int = DEFAULT_EDGE_CAP) -> E
             prod = prod * val
         if prod is not None:
             total = total + prod
-    return EvalResult(total, "brute", {"assignments": 1 << m})
+    return EvalResult(total, method, {"assignments": 1 << m})
+
+
+def brute_force_eval(grid: SignatureGrid, edge_cap: int = DEFAULT_EDGE_CAP) -> EvalResult:
+    return _assignment_sum(grid, grid.vertices, 1, edge_cap, "brute")
 
 
 def eval_bipartite_equality(
@@ -84,29 +98,10 @@ def eval_bipartite_equality(
 ) -> EvalResult:
     """Same sum with =_2 on the edges (both ends equal), optionally replacing
     each vertex signature; used to test holographic invariance."""
-    m = len(grid.edges)
-    if m > edge_cap:
-        raise TooLargeError(f"{m} edges exceeds brute-force cap {edge_cap}")
     sigs = dict(grid.vertices)
     if transformed:
         sigs.update(transformed)
-    layout = _port_layout(grid)
-    vertices = [(sigs[v].values, layout[v]) for v in sorted(sigs)]
-    total = ZERO
-    for assign in range(1 << m):
-        prod = ONE
-        for table, ports in vertices:
-            idx = 0
-            for shift, e, _flip in ports:
-                idx |= ((assign >> e) & 1) << shift
-            val = table[idx]
-            if not val:
-                prod = None
-                break
-            prod = prod * val
-        if prod is not None:
-            total = total + prod
-    return EvalResult(total, "brute-eq", {"assignments": 1 << m})
+    return _assignment_sum(grid, sigs, 0, edge_cap, "brute-eq")
 
 
 def count_eulerian_orientations(grid: SignatureGrid) -> int:
@@ -157,27 +152,9 @@ def torus_transfer_matrix_value(n: int, p: SixVertexParams) -> Scalar:
                     ]
                     for h_prev in (0, 1)
                 ]
-                if acc is None:
-                    acc = local
-                else:
-                    acc = [
-                        [
-                            acc[i][0] * local[0][j] + acc[i][1] * local[1][j]
-                            for j in (0, 1)
-                        ]
-                        for i in (0, 1)
-                    ]
+                acc = local if acc is None else mat_mul(acc, local)
             row.append(acc[0][0] + acc[1][1])
         T.append(row)
-
-    def mat_mul(A, B):
-        return [
-            [
-                sum((A[i][k] * B[k][j] for k in range(size)), ZERO)
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
 
     power = None
     base = T

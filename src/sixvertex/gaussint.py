@@ -3,8 +3,10 @@
 Nonzero elements of Q(i) factor uniquely as i^e * prod(pi_k ^ n_k) with the
 pi_k canonical Gaussian primes and n_k possibly negative. Canonical associate:
 first quadrant with re > 0, im >= 0; rational primes p = 3 mod 4 stay as-is.
-Rational prime factorization is delegated to sympy.factorint; the splitting
-into Gaussian primes is done here.
+Rational prime factorization is delegated to sympy.factorint, imported on
+first use so that the rest of the package loads without sympy; the splitting
+into Gaussian primes is done here. Values arrive as Scalars; one carrying a
+sqrt2 part raises LatticeError.
 """
 
 from __future__ import annotations
@@ -12,11 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from sympy import factorint
+from .scalar import I_POWERS, Scalar
 
-from .scalar import GaussianRational
+__all__ = [
+    "GaussianFactorization",
+    "LatticeError",
+    "factor_gaussian",
+    "gaussian_valuations",
+]
 
-__all__ = ["GaussianFactorization", "factor_gaussian", "gaussian_valuations"]
+
+class LatticeError(ValueError):
+    """A value the exponent-lattice code cannot take: zero, or a value with
+    a sqrt2 part (outside Q(i))."""
 
 
 def _gmul(a, b):
@@ -90,6 +100,8 @@ def _prime_above(p: int):
 
 def _factor_gaussian_integer(z):
     """Factor z in Z[i], z != 0: returns (unit_exponent, {prime: exp})."""
+    from sympy import factorint
+
     factors: dict[tuple[int, int], int] = {}
     for p, k in sorted(factorint(_gnorm(z)).items()):
         if p == 2:
@@ -132,43 +144,42 @@ class GaussianFactorization:
     """
 
     unit_exponent: int
-    factors: tuple[tuple[GaussianRational, int], ...]
+    factors: tuple[tuple[Scalar, int], ...]
 
     @property
-    def unit(self) -> GaussianRational:
-        return GaussianRational(0, 1) ** self.unit_exponent
+    def unit(self) -> Scalar:
+        return I_POWERS[self.unit_exponent]
 
-    def value(self) -> GaussianRational:
+    def value(self) -> Scalar:
         out = self.unit
         for prime, exp in self.factors:
             out = out * prime**exp
         return out
 
 
-def factor_gaussian(q: GaussianRational) -> GaussianFactorization:
-    """Canonical factorization of a nonzero element of Q(i)."""
+def gaussian_valuations(q: Scalar):
+    """(unit_exponent, {(re, im) prime key: exponent}) of a nonzero element
+    of Q(i): the canonical factorization with integer prime keys."""
+    if not q.is_gaussian():
+        raise LatticeError(
+            "lattice undetermined over this field: value has a sqrt2 part"
+        )
     if not q:
         raise ZeroDivisionError("cannot factor zero")
-    den = lcm(q.re.denominator, q.im.denominator)
-    num = (int(q.re * den), int(q.im * den))
-    unit_num, fac = _factor_gaussian_integer(num)
-    unit = unit_num
+    den = lcm(q.re0.denominator, q.im0.denominator)
+    num = (int(q.re0 * den), int(q.im0 * den))
+    unit, fac = _factor_gaussian_integer(num)
     if den != 1:
         unit_den, fac_den = _factor_gaussian_integer((den, 0))
-        unit = (unit_num - unit_den) % 4
+        unit = (unit - unit_den) % 4
         for prime, exp in fac_den.items():
             fac[prime] = fac.get(prime, 0) - exp
-    factors = tuple(
-        (GaussianRational(p[0], p[1]), e)
-        for p, e in sorted(fac.items())
-        if e != 0
+    return unit % 4, {p: e for p, e in sorted(fac.items()) if e != 0}
+
+
+def factor_gaussian(q: Scalar) -> GaussianFactorization:
+    """Canonical factorization of a nonzero element of Q(i)."""
+    unit, fac = gaussian_valuations(q)
+    return GaussianFactorization(
+        unit, tuple((Scalar(re, im), e) for (re, im), e in fac.items())
     )
-    return GaussianFactorization(unit % 4, factors)
-
-
-def gaussian_valuations(q: GaussianRational):
-    """(unit_exponent, {(re, im) prime key: exponent}) for lattice work."""
-    f = factor_gaussian(q)
-    return f.unit_exponent, {
-        (int(p.re), int(p.im)): e for p, e in f.factors
-    }

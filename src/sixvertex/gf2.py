@@ -9,7 +9,7 @@ multipliers 0, 2, or 1 +- i, staying inside Q(i).
 
 from __future__ import annotations
 
-from .scalar import I, ONE, Scalar, ZERO
+from .scalar import I, I_POWERS, ONE, ZERO
 
 __all__ = ["LinearSystemGF2", "QuadraticPhase", "gauss_sum"]
 
@@ -121,7 +121,6 @@ class QuadraticPhase:
 
 _ONE_PLUS_I = ONE + I
 _ONE_MINUS_I = ONE - I
-_I_POW = (ONE, I, Scalar(-1), Scalar(0, -1))
 
 
 def gauss_sum(phase: QuadraticPhase, variables) -> Scalar:
@@ -149,4 +148,4 @@ def gauss_sum(phase: QuadraticPhase, variables) -> Scalar:
                 rest = [p for p in partners if p != k0]
                 live.discard(k0)
                 phase.substitute(k0, want, rest)
-    return multiplier * _I_POW[phase.const % 4]
+    return multiplier * I_POWERS[phase.const % 4]

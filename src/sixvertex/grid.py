@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .scalar import format_scalar, parse_scalar
+from .scalar import ScalarParseError, format_scalar, parse_scalar
 from .signature import (
     Signature,
     SixVertexParams,
@@ -156,7 +156,10 @@ def grid_from_json(obj) -> SignatureGrid:
             (Port(int(e[0][0]), int(e[0][1])), Port(int(e[1][0]), int(e[1][1])))
             for e in obj["edges"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (GridError, ScalarParseError):
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        # ValueError: a non-integer id or slot, or a SignatureError
         raise GridError(f"malformed grid json: {exc}") from exc
     return SignatureGrid(vertices, edges)
 

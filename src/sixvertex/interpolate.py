@@ -4,8 +4,9 @@ the off-diagonal root cases.
 
 compute_lattice is an exact decision procedure via Gaussian-prime
 factorization: alpha^j beta^k = 1 iff every prime valuation combination
-vanishes and the combined unit exponent is 0 mod 4. Inputs carrying sqrt2
-are rejected rather than approximated.
+vanishes and the combined unit exponent is 0 mod 4. alpha and beta are
+Scalars; one carrying a sqrt2 part is rejected with LatticeError rather
+than approximated.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .gaussint import gaussian_valuations
+from .gaussint import LatticeError, gaussian_valuations
 from .rational import Q
-from .scalar import GaussianRational, ONE, Scalar, ZERO
+from .scalar import ONE, Scalar, ZERO
 
 __all__ = [
     "ExponentLattice",
@@ -23,17 +24,12 @@ __all__ = [
     "InterpolationError",
     "LatticeError",
     "compute_lattice",
-    "gaussian_from_scalar",
     "interpolation_solve",
     "make_observations",
     "cone_points",
     "sign_change_certificate",
     "offdiagonal_root_certificate",
 ]
-
-
-class LatticeError(ValueError):
-    pass
 
 
 class InterpolationError(ValueError):
@@ -62,14 +58,6 @@ class ExponentLattice:
         det = a * d - b * c
         pj, pk = d * j - c * k, -b * j + a * k
         return pj % det == 0 and pk % det == 0
-
-
-def gaussian_from_scalar(s: Scalar) -> GaussianRational:
-    if not s.is_gaussian():
-        raise LatticeError(
-            "lattice undetermined over this field: value has a sqrt2 part"
-        )
-    return s.g0
 
 
 def _hnf_basis(gens):
@@ -103,7 +91,7 @@ def _hnf_basis(gens):
     return (first, (0, 0))
 
 
-def compute_lattice(alpha: GaussianRational, beta: GaussianRational) -> ExponentLattice:
+def compute_lattice(alpha: Scalar, beta: Scalar) -> ExponentLattice:
     if not alpha or not beta:
         raise LatticeError("lattice needs nonzero alpha and beta")
     ua, va = gaussian_valuations(alpha)
@@ -135,8 +123,8 @@ def compute_lattice(alpha: GaussianRational, beta: GaussianRational) -> Exponent
 
 @dataclass(frozen=True)
 class InterpolationInstance:
-    alpha: GaussianRational
-    beta: GaussianRational
+    alpha: Scalar
+    beta: Scalar
     m: int
     n_values: tuple[Scalar, ...]
 
@@ -146,7 +134,7 @@ def cone_points(m: int):
 
 
 def make_observations(
-    alpha: GaussianRational, beta: GaussianRational, m: int, x: dict
+    alpha: Scalar, beta: Scalar, m: int, x: dict
 ) -> tuple[Scalar, ...]:
     """Synthesize N_l = sum (alpha^j beta^k)^l x_{j,k} for l = 1..C(m+2,2)."""
     pts = cone_points(m)
@@ -158,7 +146,7 @@ def make_observations(
             xv = x.get((j, k))
             if xv is None or not xv:
                 continue
-            acc = acc + Scalar.from_gaussian((alpha**j * beta**k) ** ell) * xv
+            acc = acc + (alpha**j * beta**k) ** ell * xv
         out.append(acc)
     return tuple(out)
 
@@ -198,10 +186,7 @@ def interpolation_solve(
         )
     if lattice.rank == 1:
         s, t = lattice.generator
-        check = (phi**s if s >= 0 else phi.inverse() ** (-s)) * (
-            psi**t if t >= 0 else psi.inverse() ** (-t)
-        )
-        if check != ONE:
+        if phi**s * psi**t != ONE:
             raise InterpolationError("phi^s psi^t != 1 for the lattice generator")
 
     groups: list[list[tuple[int, int]]] = []
@@ -217,7 +202,7 @@ def interpolation_solve(
     nodes = []
     for grp in groups:
         j, k = grp[0]
-        nodes.append(Scalar.from_gaussian(inst.alpha**j * inst.beta**k))
+        nodes.append(inst.alpha**j * inst.beta**k)
     if len(set(nodes)) != len(nodes):
         raise AssertionError("coset nodes must be distinct")
 

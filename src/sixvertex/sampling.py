@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .grid import Port, SignatureGrid
-from .scalar import Scalar
+from .scalar import I_POWERS, Scalar
 from .signature import Signature, SixVertexParams
 
 __all__ = [
@@ -34,9 +34,6 @@ SCALAR_POOL = (
     Scalar("1/2"),
 )
 NONZERO_POOL = SCALAR_POOL[1:]
-
-_I_POW = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
-
 
 def random_params(rng: random.Random, pool=SCALAR_POOL) -> SixVertexParams:
     return SixVertexParams(*(rng.choice(pool) for _ in range(6)))
@@ -90,15 +87,15 @@ def random_a_params(rng: random.Random) -> SixVertexParams:
         vals = [Scalar(0)] * 6
         pair = rng.randrange(3)
         vals[2 * pair] = lam
-        vals[2 * pair + 1] = lam * _I_POW[rng.randrange(4)]
+        vals[2 * pair + 1] = lam * I_POWERS[rng.randrange(4)]
         return SixVertexParams(*vals)
     a1, a2 = rng.randrange(4), rng.randrange(4)
     b12 = rng.randrange(2)
     w = (
         lam,
-        lam * _I_POW[a1],
-        lam * _I_POW[a2],
-        lam * _I_POW[(a1 + a2 + 2 * b12) % 4],
+        lam * I_POWERS[a1],
+        lam * I_POWERS[a2],
+        lam * I_POWERS[(a1 + a2 + 2 * b12) % 4],
     )
     if kind == 1:
         # support {0011, 1100, 0110, 1001}

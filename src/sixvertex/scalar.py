@@ -15,7 +15,6 @@ import mpmath
 from .rational import Q, parse_rat, rat_str
 
 __all__ = [
-    "GaussianRational",
     "Scalar",
     "ScalarParseError",
     "ZERO",
@@ -23,7 +22,7 @@ __all__ = [
     "I",
     "SQRT2",
     "HALF_SQRT2",
-    "field_arith",
+    "I_POWERS",
     "ratio_power_of_i",
     "approx_complex",
     "parse_scalar",
@@ -38,108 +37,18 @@ class ScalarParseError(ValueError):
     pass
 
 
-class GaussianRational:
-    """An element of Q(i): re + im*i."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Q(re))
-        object.__setattr__(self, "im", Q(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return complex_str(self.re, self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, int):
-            return self.re == other and self.im == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _as_gaussian(other) - self
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self):
-        """re^2 + im^2, a rational."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self):
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * _as_gaussian(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _as_gaussian(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-
-def _as_gaussian(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, int) or type(x) is type(_Q0):
-        return GaussianRational(x)
-    raise TypeError(f"cannot coerce {x!r} to GaussianRational")
-
-
 class Scalar:
     """re0 + im0*i + (re1 + im1*i)*sqrt2, all components exact rationals."""
 
     __slots__ = ("re0", "im0", "re1", "im1")
 
     def __init__(self, re0=0, im0=0, re1=0, im1=0):
+        """Four exact components, or one text parsed by parse_scalar."""
+        if isinstance(re0, str):
+            if im0 or re1 or im1:
+                raise TypeError("Scalar(text) takes no other components")
+            parsed = parse_scalar(re0)
+            re0, im0, re1, im1 = parsed.re0, parsed.im0, parsed.re1, parsed.im1
         object.__setattr__(self, "re0", Q(re0))
         object.__setattr__(self, "im0", Q(im0))
         object.__setattr__(self, "re1", Q(re1))
@@ -156,20 +65,6 @@ class Scalar:
         object.__setattr__(obj, "re1", re1)
         object.__setattr__(obj, "im1", im1)
         return obj
-
-    @classmethod
-    def from_gaussian(cls, g0: GaussianRational, g1: GaussianRational | None = None):
-        if g1 is None:
-            return cls._raw(g0.re, g0.im, _Q0, _Q0)
-        return cls._raw(g0.re, g0.im, g1.re, g1.im)
-
-    @property
-    def g0(self) -> GaussianRational:
-        return GaussianRational(self.re0, self.im0)
-
-    @property
-    def g1(self) -> GaussianRational:
-        return GaussianRational(self.re1, self.im1)
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
@@ -251,14 +146,19 @@ class Scalar:
     def inverse(self) -> Scalar:
         if not self:
             raise ZeroDivisionError("inverse of zero Scalar")
-        g0, g1 = self.g0, self.g1
-        # 1/(g0 + g1 r2) = (g0 - g1 r2)/(g0^2 - 2 g1^2); denominator is in
-        # Q(i) and nonzero because sqrt2 is irrational over Q(i).
-        den = g0 * g0 - GaussianRational(2) * g1 * g1
-        inv = den.inverse()
-        top0 = g0 * inv
-        top1 = -g1 * inv
-        return Scalar._raw(top0.re, top0.im, top1.re, top1.im)
+        a, b, c, d = self.re0, self.im0, self.re1, self.im1
+        # With g0 = a+bi and g1 = c+di: 1/(g0 + g1 r2) = (g0 - g1 r2)/den,
+        # den = g0^2 - 2 g1^2 = p+qi, nonzero because sqrt2 is irrational
+        # over Q(i); and 1/den = (p-qi)/n with n = p^2 + q^2.
+        p = a * a - b * b - 2 * (c * c - d * d)
+        q = 2 * (a * b - 2 * c * d)
+        n = p * p + q * q
+        return Scalar._raw(
+            (a * p + b * q) / n,
+            (b * p - a * q) / n,
+            -(c * p + d * q) / n,
+            -(d * p - c * q) / n,
+        )
 
     def __truediv__(self, other):
         other = as_scalar(other)
@@ -287,8 +187,6 @@ class Scalar:
 def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, GaussianRational):
-        return Scalar.from_gaussian(x)
     if isinstance(x, int) or type(x) is type(_Q0):
         return Scalar(x)
     if isinstance(x, str):
@@ -302,21 +200,7 @@ I = Scalar(0, 1)
 SQRT2 = Scalar(0, 0, 1)
 HALF_SQRT2 = Scalar(0, 0, Q(1, 2))  # equals 1/sqrt2
 
-_I_POWERS = (ONE, I, Scalar(-1), Scalar(0, -1))
-
-
-def field_arith(lhs: Scalar, rhs: Scalar, kind: str) -> Scalar:
-    """Named dispatch over the four field operations; div raises
-    ZeroDivisionError on a zero divisor."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown operation {kind!r}")
+I_POWERS = (ONE, I, Scalar(-1), Scalar(0, -1))
 
 
 def ratio_power_of_i(u: Scalar, v: Scalar) -> int | None:
@@ -326,9 +210,8 @@ def ratio_power_of_i(u: Scalar, v: Scalar) -> int | None:
     """
     if not v:
         raise ZeroDivisionError("ratio_power_of_i requires v != 0")
-    r = u / v
-    for e, w in enumerate(_I_POWERS):
-        if r == w:
+    for e, w in enumerate(I_POWERS):
+        if u == w * v:
             return e
     return None
 

@@ -36,6 +36,7 @@ __all__ = [
     "matrix_view",
     "signature_from_matrix",
     "compose",
+    "mat_mul",
     "permute_variables",
     "block_action",
     "holographic_transform",
@@ -207,12 +208,11 @@ def signature_from_matrix(entries) -> Signature:
     return Signature(4, values)
 
 
-def _mat_mul(A, B):
+def mat_mul(A, B):
+    """Exact matrix product; matrices are sequences of rows."""
     return tuple(
-        tuple(
-            sum((A[r][k] * B[k][c] for k in range(4)), ZERO) for c in range(4)
-        )
-        for r in range(4)
+        tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in zip(*B))
+        for row in A
     )
 
 
@@ -226,7 +226,7 @@ def compose(fM: MatrixView, gM: MatrixView) -> Signature:
     """Link the column variables of f to the row variables of g through two
     disequalities; the result has signature matrix fM * N * gM, read with
     rows (x1, x2) and columns (x4, x3) of the new arity-4 signature."""
-    prod = _mat_mul(_mat_mul(fM.entries, N_DOUBLE), gM.entries)
+    prod = mat_mul(mat_mul(fM.entries, N_DOUBLE), gM.entries)
     return signature_from_matrix(prod)
 
 

@@ -54,8 +54,12 @@ def _partner_map(grid: SignatureGrid):
 def solve_P(grid: SignatureGrid) -> Scalar:
     blocks = []  # (ports, strings, values)
     port_block: dict[Port, tuple[int, int]] = {}  # port -> (block, local pos)
+    reports = {}  # one membership test per distinct signature
     for v in sorted(grid.vertices):
-        report = in_P(grid.vertices[v])
+        f = grid.vertices[v]
+        report = reports.get(f)
+        if report is None:
+            report = reports[f] = in_P(f)
         if not report.member:
             raise SolverError(f"vertex {v} is not in the product class")
         if report.is_zero:
@@ -141,9 +145,12 @@ def solve_A(grid: SignatureGrid) -> Scalar:
     for p, q in grid.edges:
         system.add((1 << port_index[p]) | (1 << port_index[q]), 1)
 
+    reports = {}  # one membership test per distinct signature
     for v in order:
         f = grid.vertices[v]
-        report = in_A(f)
+        report = reports.get(f)
+        if report is None:
+            report = reports[f] = in_A(f)
         if not report.member:
             raise SolverError(f"vertex {v} is not in the affine class")
         if report.is_zero:

@@ -71,6 +71,24 @@ def test_eval_malformed_port_exit2(tmp_path):
     assert "slot 1" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "vertex",
+    [
+        {"id": "x", "signature": {"six_vertex": ["1"] * 6}},
+        {"id": 0, "signature": {"arity": 4, "values": ["1"] * 15}},
+    ],
+    ids=["non-integer-id", "short-values"],
+)
+def test_eval_malformed_vertex_exit2(tmp_path, vertex):
+    bad = {"vertices": [vertex], "edges": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    r = run_cli("eval", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: malformed grid json")
+    assert "Traceback" not in r.stderr
+
+
 def test_eval_cap_exit1(tmp_path):
     grid = tmp_path / "t4.json"
     run_cli("torus", "--n", "4", "--params", *["1"] * 6, "-o", str(grid))
@@ -112,9 +130,9 @@ def test_gadget_commands():
 def test_interpolate_command(tmp_path):
     from sixvertex.interpolate import make_observations
     from sixvertex.rational import Q
-    from sixvertex.scalar import GaussianRational, Scalar, format_scalar
+    from sixvertex.scalar import Scalar, format_scalar
 
-    alpha, beta = GaussianRational(2), GaussianRational(Q(1, 2))
+    alpha, beta = Scalar(2), Scalar(Q(1, 2))
     x = {(0, 0): Scalar(4), (1, 0): Scalar(1), (0, 1): Scalar(2)}
     obs = make_observations(alpha, beta, 1, x)
     values = tmp_path / "vals.json"
@@ -142,6 +160,14 @@ def test_selftest_subset():
     r = run_cli("selftest", "--criteria", "9")
     assert r.returncode == 0
     assert "[PASS] criterion 9" in r.stdout
+
+
+@pytest.mark.parametrize("criteria", ["x", "1,x", "99", "0", "9,10"])
+def test_selftest_bad_criteria_exit2(criteria):
+    r = run_cli("selftest", "--criteria", criteria)
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: --criteria")
+    assert r.stdout == ""
 
 
 def test_env_config(tmp_path):

@@ -8,7 +8,6 @@ from sixvertex.interpolate import (
     LatticeError,
     compute_lattice,
     cone_points,
-    gaussian_from_scalar,
     interpolation_solve,
     make_observations,
     offdiagonal_root_certificate,
@@ -16,9 +15,9 @@ from sixvertex.interpolate import (
 )
 from sixvertex.rational import Q
 from sixvertex.sampling import SCALAR_POOL
-from sixvertex.scalar import GaussianRational, ONE, SQRT2, Scalar, ZERO
+from sixvertex.scalar import ONE, SQRT2, Scalar, ZERO
 
-G = GaussianRational
+G = Scalar
 
 
 class TestLattice:
@@ -65,8 +64,10 @@ class TestLattice:
         with pytest.raises(LatticeError):
             compute_lattice(G(0), G(2))
         with pytest.raises(LatticeError):
-            gaussian_from_scalar(SQRT2)
-        assert gaussian_from_scalar(Scalar(2, 3)) == G(2, 3)
+            compute_lattice(SQRT2, G(2))
+        with pytest.raises(LatticeError):
+            compute_lattice(G(2, 3), G(1, 0, 1))
+        assert compute_lattice(G(2, 3), G(2, 3)).rank == 1
 
 
 class TestInterpolationSolve:

@@ -4,7 +4,6 @@ import pytest
 
 from sixvertex.rational import Q
 from sixvertex.scalar import (
-    GaussianRational,
     I,
     ONE,
     SQRT2,
@@ -32,17 +31,13 @@ def test_definition_examples():
     assert inv * (ONE + SQRT2) == ONE
 
 
-def test_field_arith_dispatch():
-    from sixvertex.scalar import field_arith
-
-    assert field_arith(ONE, SQRT2, "add") == ONE + SQRT2
-    assert field_arith(SQRT2, SQRT2, "mul") == Scalar(2)
-    assert field_arith(ONE, ONE + SQRT2, "div") == Scalar(-1, 0, 1, 0)
-    assert field_arith(ONE, SQRT2, "sub") == Scalar(1, 0, -1, 0)
+def test_field_operators():
+    assert ONE + SQRT2 == Scalar(1, 0, 1, 0)
+    assert SQRT2 * SQRT2 == Scalar(2)
+    assert ONE / (ONE + SQRT2) == Scalar(-1, 0, 1, 0)
+    assert ONE - SQRT2 == Scalar(1, 0, -1, 0)
     with pytest.raises(ZeroDivisionError):
-        field_arith(ONE, ZERO, "div")
-    with pytest.raises(ValueError):
-        field_arith(ONE, ONE, "pow")
+        ONE / ZERO
 
 
 def test_field_axioms_randomized():
@@ -140,12 +135,17 @@ def test_approx_precision_scales():
 
 
 def test_gaussian_rational_arithmetic():
-    g = GaussianRational(2, 3)
-    assert g * g.inverse() == GaussianRational(1)
-    assert g.norm() == 13
+    g = Scalar(2, 3)
+    assert g * g.inverse() == Scalar(1)
+    assert g * g.conjugate() == 13
     assert (g**3) == g * g * g
     with pytest.raises(ZeroDivisionError):
-        GaussianRational(0).inverse()
+        Scalar(0).inverse()
+
+
+@pytest.mark.parametrize("text", ["-2/3i", "1/2", "1+(1)r2"])
+def test_text_constructor_is_parse_scalar(text):
+    assert Scalar(text) == parse_scalar(text)
 
 
 def test_immutability_and_hash():

@@ -186,6 +186,22 @@ class TestDispatch:
         assert r.class_used == "A"
         assert r.value == brute_force_eval(build_torus(2, p)).value
 
+    @pytest.mark.parametrize(
+        "params,label", [((1, 1, 1, 1, 0, 0), "P"), ((1, 1, 1, -1, 0, 0), "A")]
+    )
+    def test_membership_once_per_signature(self, monkeypatch, params, label):
+        import sixvertex.solvers as solvers
+
+        calls = {"in_P": 0, "in_A": 0}
+        for name in calls:
+            def counted(f, real=getattr(solvers, name), name=name):
+                calls[name] += 1
+                return real(f)
+
+            monkeypatch.setattr(solvers, name, counted)
+        assert solve(build_torus(6, SV(*params))).class_used == label
+        assert calls["in_P"] <= 2 and calls["in_A"] <= 2, calls
+
     def test_forced_method(self):
         t = build_torus(2, SV(1, 0, 1, 0, 1, 0))
         want = brute_force_eval(t).value
