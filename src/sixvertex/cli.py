@@ -14,7 +14,7 @@ import sys
 from .acceptance import CRITERIA, LIEB, run_acceptance
 from .classify import classify
 from .config import load_config
-from .contract import ContractionCapError, contract_eval, sequential_plan
+from .contract import ContractionCapError, contract_eval
 from .evaluate import TooLargeError
 from .gadgets import (
     GadgetError,
@@ -115,11 +115,7 @@ def cmd_ice(args, cfg) -> int:
     for n in range(2, args.n_max + 1, 2):
         torus = build_torus(n, ice)
         try:
-            res = contract_eval(
-                torus,
-                plan=sequential_plan(torus),
-                rank_cap=cfg.contraction_rank_cap,
-            )
+            res = contract_eval(torus, rank_cap=cfg.contraction_rank_cap)
         except ContractionCapError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return EXIT_REFUSED

@@ -10,6 +10,8 @@ import json
 import os
 from dataclasses import dataclass, replace
 
+from .contract import DEFAULT_RANK_CAP
+
 __all__ = ["Config", "load_config", "ENV_VAR"]
 
 ENV_VAR = "HOLANT6V_CONFIG"
@@ -18,7 +20,7 @@ ENV_VAR = "HOLANT6V_CONFIG"
 @dataclass(frozen=True)
 class Config:
     brute_force_edge_cap: int = 24
-    contraction_rank_cap: int = 26
+    contraction_rank_cap: int = DEFAULT_RANK_CAP
     precision_bits: int = 64
     deterministic_seed: int = 0
 

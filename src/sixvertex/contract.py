@@ -15,6 +15,7 @@ the product of the D_v once at the end. The result is the same exact Scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
 
@@ -57,35 +58,42 @@ class _Tensor:
         self.vertices = vertices
 
 
-def _vertex_tensor(grid: SignatureGrid, v: int) -> _Tensor:
-    sig = grid.vertices[v]
-    ends: dict[int, list[tuple[int, int]]] = {}
+def _incidence(grid: SignatureGrid) -> dict[int, dict[int, list[tuple[int, int]]]]:
+    """One pass over the edges: vertex -> {edge: [(slot, flip), ...]}, edges
+    in id order, flip 1 at an edge's second end. A self-loop lists both of
+    its ends; every other edge at the vertex is open and lists one."""
+    ends: dict[int, dict[int, list[tuple[int, int]]]] = {v: {} for v in grid.vertices}
     for e, (p, q) in enumerate(grid.edges):
-        if p.vertex == v:
-            ends.setdefault(e, []).append((p.slot, 0))
-        if q.vertex == v:
-            ends.setdefault(e, []).append((q.slot, 1))
-    open_edges = sorted(e for e, lst in ends.items() if len(lst) == 1)
-    loops = [(e, lst) for e, lst in ends.items() if len(lst) == 2]
-    pos = {e: i for i, e in enumerate(open_edges)}
+        for port, flip in ((p, 0), (q, 1)):
+            at = ends.get(port.vertex)
+            if at is not None:
+                at.setdefault(e, []).append((port.slot, flip))
+    return ends
+
+
+def _open_masks(grid: SignatureGrid) -> dict[int, int]:
+    """vertex -> bitmask of its open (non-self-loop) edges."""
+    return {
+        v: sum(1 << e for e, at in ends.items() if len(at) == 1)
+        for v, ends in _incidence(grid).items()
+    }
+
+
+def _vertex_tensor(sig, v: int, ends: dict[int, list[tuple[int, int]]]) -> _Tensor:
+    open_edges = [e for e, lst in ends.items() if len(lst) == 1]
+    loops = [lst for lst in ends.values() if len(lst) == 2]
     data: dict[int, Scalar] = {}
     for idx in range(16):
         val = sig[idx]
         if not val:
             continue
         bits = [(idx >> (3 - s)) & 1 for s in range(4)]
-        ok = True
-        for _e, lst in loops:
-            (s1, f1), (s2, f2) = lst
-            if bits[s1] ^ f1 != bits[s2] ^ f2:
-                ok = False
-                break
-        if not ok:
+        if any(bits[s1] ^ f1 != bits[s2] ^ f2 for (s1, f1), (s2, f2) in loops):
             continue
         key = 0
-        for e in open_edges:
+        for i, e in enumerate(open_edges):
             (slot, flip), = ends[e]
-            key |= (bits[slot] ^ flip) << pos[e]
+            key |= (bits[slot] ^ flip) << i
         cur = data.get(key)
         data[key] = val if cur is None else cur + val
     return _Tensor(open_edges, {k: v for k, v in data.items() if v}, frozenset((v,)))
@@ -134,15 +142,18 @@ def _lift(t: _Tensor, rational: bool) -> int:
     return den
 
 
+def _cap_error(ka, kb, rank: int, rank_cap: int) -> ContractionCapError:
+    return ContractionCapError(
+        f"merging {sorted(ka)} with {sorted(kb)} needs rank {rank} > cap {rank_cap}"
+    )
+
+
 def _merge(a: _Tensor, b: _Tensor, rank_cap: int) -> _Tensor:
     ea, eb = set(a.edges), set(b.edges)
     shared = sorted(ea & eb)
     out_edges = sorted(ea ^ eb)
     if len(out_edges) > rank_cap:
-        raise ContractionCapError(
-            f"merging {sorted(a.vertices)} with {sorted(b.vertices)} needs "
-            f"rank {len(out_edges)} > cap {rank_cap}"
-        )
+        raise _cap_error(a.vertices, b.vertices, len(out_edges), rank_cap)
     apos = {e: i for i, e in enumerate(a.edges)}
     bpos = {e: i for i, e in enumerate(b.edges)}
     opos = {e: i for i, e in enumerate(out_edges)}
@@ -179,31 +190,38 @@ def _merge(a: _Tensor, b: _Tensor, rank_cap: int) -> _Tensor:
 
 def plan_contraction(grid: SignatureGrid) -> ContractionPlan:
     """Greedy: always merge the pair minimizing the resulting open-index
-    count, ties broken by lowest involved vertex ids."""
-    live: dict[frozenset, set] = {}
-    for v in grid.vertices:
-        incident = [
-            e
-            for e, (p, q) in enumerate(grid.edges)
-            if (p.vertex == v) != (q.vertex == v)
-        ]
-        live[frozenset((v,))] = set(incident)
-    peak = max((len(s) for s in live.values()), default=0)
+    count, ties broken by lowest involved vertex ids.
+
+    The key (rank, lo, hi) of a pair never changes while both tensors live,
+    and (lo, hi) is unique among live pairs, so one heap of pair keys finds
+    every step: each merge pushes the new tensor's pairs and stale entries
+    are skipped on pop, O(V^2 log V) in all. Tensors are numbered in the
+    order they appear (grid.vertices order, then merges), and each step
+    names the earlier one first."""
+    masks = list(_open_masks(grid).items())
+    keys = [frozenset((v,)) for v, _ in masks]
+    low = [v for v, _ in masks]
+    live = {t: m for t, (_, m) in enumerate(masks)}
+    peak = max((m.bit_count() for m in live.values()), default=0)
+    heap = [
+        ((ma ^ mb).bit_count(), *sorted((low[a], low[b])), a, b)
+        for (a, ma), (b, mb) in combinations(live.items(), 2)
+    ]
+    heapify(heap)
     steps = []
     while len(live) > 1:
-        best = None
-        for (ka, ea), (kb, eb) in combinations(live.items(), 2):
-            rank = len(ea ^ eb)
-            lo, hi = sorted((min(ka), min(kb)))
-            key = (rank, lo, hi)
-            if best is None or key < best[0]:
-                best = (key, ka, kb)
-        _, ka, kb = best
-        ea, eb = live.pop(ka), live.pop(kb)
-        merged = ea ^ eb
-        live[ka | kb] = merged
-        peak = max(peak, len(merged))
-        steps.append((ka, kb))
+        rank, _, _, a, b = heappop(heap)
+        if a not in live or b not in live:
+            continue
+        merged = live.pop(a) ^ live.pop(b)
+        steps.append((keys[a], keys[b]))
+        new = len(keys)
+        keys.append(keys[a] | keys[b])
+        low.append(min(low[a], low[b]))
+        peak = max(peak, rank)
+        for t, m in live.items():
+            heappush(heap, ((m ^ merged).bit_count(), *sorted((low[t], low[new])), t, new))
+        live[new] = merged
     return ContractionPlan(tuple(steps), peak)
 
 
@@ -211,21 +229,31 @@ def sequential_plan(grid: SignatureGrid, order=None) -> ContractionPlan:
     """Absorb vertices one at a time into a growing cluster, in id order by
     default; the right shape for row-major lattices."""
     order = sorted(grid.vertices) if order is None else list(order)
-    incident = {v: set() for v in grid.vertices}
-    for e, (p, q) in enumerate(grid.edges):
-        if p.vertex != q.vertex:
-            incident[p.vertex].add(e)
-            incident[q.vertex].add(e)
+    masks = _open_masks(grid)
     steps = []
-    peak = max((len(s) for s in incident.values()), default=0)
+    peak = max((m.bit_count() for m in masks.values()), default=0)
     cluster = frozenset((order[0],)) if order else frozenset()
-    open_edges = set(incident[order[0]]) if order else set()
+    open_edges = masks[order[0]] if order else 0
     for v in order[1:]:
         steps.append((cluster, frozenset((v,))))
-        open_edges ^= incident[v]
+        open_edges ^= masks[v]
         cluster = cluster | {v}
-        peak = max(peak, len(open_edges))
+        peak = max(peak, open_edges.bit_count())
     return ContractionPlan(tuple(steps), peak)
+
+
+def _first_step_over(grid: SignatureGrid, plan: ContractionPlan, rank_cap: int):
+    """Replay the plan on edge masks: the first step (ka, kb, rank) whose
+    merge has more than rank_cap open edges, or None."""
+    live = {frozenset((v,)): m for v, m in _open_masks(grid).items()}
+    for ka, kb in plan.steps:
+        if ka not in live or kb not in live:
+            return None  # the merge loop reports the mismatch
+        merged = live.pop(ka) ^ live.pop(kb)
+        if merged.bit_count() > rank_cap:
+            return ka, kb, merged.bit_count()
+        live[ka | kb] = merged
+    return None
 
 
 def contract_eval(
@@ -240,7 +268,14 @@ def contract_eval(
         return EvalResult(ONE, "contract", {"peak_rank": 0})
     if plan is None:
         plan = plan_contraction(grid)
-    live = {frozenset((v,)): _vertex_tensor(grid, v) for v in grid.vertices}
+    if plan.peak_rank > rank_cap:
+        over = _first_step_over(grid, plan, rank_cap)
+        if over is not None:
+            raise _cap_error(*over, rank_cap)
+    live = {
+        frozenset((v,)): _vertex_tensor(grid.vertices[v], v, ends)
+        for v, ends in _incidence(grid).items()
+    }
     peak = max(len(t.edges) for t in live.values())
     rational = all(s.is_rational() for t in live.values() for s in t.data.values())
     scale = 1

@@ -66,7 +66,7 @@ def bit_of(index: int, pos: int, arity: int) -> int:
 class Signature:
     """Dense value table of an arity <= 4 constraint function."""
 
-    __slots__ = ("arity", "values")
+    __slots__ = ("arity", "values", "_hash")
 
     def __init__(self, arity: int, values):
         values = tuple(as_scalar(v) for v in values)
@@ -78,6 +78,7 @@ class Signature:
             )
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_hash", hash((arity, values)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
@@ -91,7 +92,7 @@ class Signature:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.arity, self.values))
+        return self._hash
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values)

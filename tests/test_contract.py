@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from sixvertex import contract
 from sixvertex.contract import (
     ContractionCapError,
+    ContractionPlan,
     contract_eval,
     plan_contraction,
     sequential_plan,
@@ -85,8 +88,9 @@ def test_fractional_sqrt2_torus_against_transfer_matrix():
 
 
 def test_ice_torus_8_exact():
-    t8 = build_torus(8, ICE)
-    assert contract_eval(t8, plan=sequential_plan(t8)).value == Scalar(2901094068042)
+    res = contract_eval(build_torus(8, ICE))
+    assert res.value == Scalar(2901094068042)
+    assert res.stats["peak_rank"] == 16
 
 
 def test_torus_against_transfer_matrix():
@@ -137,6 +141,108 @@ def test_rank_cap_error_names_step():
     assert "rank" in str(err.value)
 
 
+def test_refuses_from_the_plan_before_any_arithmetic(monkeypatch):
+    t = build_torus(3, ICE)
+    plan = plan_contraction(t)
+    # a hand-built plan that understates its peak reaches the merge check
+    with pytest.raises(ContractionCapError) as at_merge:
+        contract_eval(t, plan=ContractionPlan(plan.steps, 0), rank_cap=4)
+
+    def fail(*args):
+        raise AssertionError("arithmetic ran before the refusal")
+
+    monkeypatch.setattr(contract, "_vertex_tensor", fail)
+    monkeypatch.setattr(contract, "_merge", fail)
+    with pytest.raises(ContractionCapError) as up_front:
+        contract_eval(t, rank_cap=4)
+    assert str(up_front.value) == str(at_merge.value)
+    assert "needs rank" in str(up_front.value)
+
+
+def reference_greedy(grid):
+    """The planner's specification, rescanning every live pair at every
+    step (O(V^3)): merge the pair minimizing the resulting open-index count,
+    ties broken by lowest vertex ids, earlier-inserted tensor first."""
+    live = {}
+    for v in grid.vertices:
+        live[frozenset((v,))] = {
+            e for e, (p, q) in enumerate(grid.edges) if (p.vertex == v) != (q.vertex == v)
+        }
+    peak = max((len(s) for s in live.values()), default=0)
+    steps = []
+    while len(live) > 1:
+        best = None
+        for (ka, ea), (kb, eb) in combinations(live.items(), 2):
+            key = (len(ea ^ eb), *sorted((min(ka), min(kb))))
+            if best is None or key < best[0]:
+                best = (key, ka, kb)
+        _, ka, kb = best
+        merged = live.pop(ka) ^ live.pop(kb)
+        live[ka | kb] = merged
+        peak = max(peak, len(merged))
+        steps.append((ka, kb))
+    return ContractionPlan(tuple(steps), peak)
+
+
+def relabelled_multigraph(rng, n):
+    """Uniform port pairing on n vertices with shuffled, non-contiguous ids,
+    inserted in shuffled order."""
+    labels = rng.sample(range(-40, 400), n)
+    ports = [Port(v, s) for v in labels for s in range(4)]
+    rng.shuffle(ports)
+    edges = tuple((ports[2 * i], ports[2 * i + 1]) for i in range(2 * n))
+    rng.shuffle(labels)
+    sig = from_six_vertex(ICE)
+    return SignatureGrid({v: sig for v in labels}, edges).assert_valid()
+
+
+def test_plan_matches_reference_greedy():
+    rng = random.Random(28)
+    grids = [relabelled_multigraph(rng, rng.randint(1, 30)) for _ in range(80)]
+    sig = from_six_vertex(ICE)
+    loop = ((Port(7, 0), Port(7, 2)), (Port(7, 1), Port(7, 3)))
+    grids.append(SignatureGrid({7: sig}, loop))  # a self-loop-only vertex
+    parts = [relabelled_multigraph(rng, 6) for _ in range(3)]
+    grids.append(  # a disconnected grid: three components, labels disjoint
+        SignatureGrid(
+            {v + 1000 * i: s for i, g in enumerate(parts) for v, s in g.vertices.items()},
+            tuple(
+                (Port(p.vertex + 1000 * i, p.slot), Port(q.vertex + 1000 * i, q.slot))
+                for i, g in enumerate(parts)
+                for p, q in g.edges
+            ),
+        )
+    )
+    for i, g in enumerate(grids):
+        assert plan_contraction(g) == reference_greedy(g), i
+
+
+def rectangular_torus(w, length):
+    """w x length torus in the layout of build_torus, which it equals when
+    w == length: vertex r*w + c, slots N, E, S, W."""
+    edges = []
+    for r in range(length):
+        for c in range(w):
+            v = r * w + c
+            edges.append(((v, 1), (r * w + (c + 1) % w, 3)))
+            edges.append(((v, 2), (((r + 1) % length) * w + c, 0)))
+    sig = from_six_vertex(ICE)
+    return SignatureGrid.build({v: sig for v in range(w * length)}, edges).assert_valid()
+
+
+@pytest.mark.parametrize(
+    "w, length, peak",
+    [(8, 8, 16), (7, 7, 14), (6, 10, 12), (12, 12, 24), (6, 24, 12), (10, 10, 20), (5, 20, 10)],
+)
+def test_torus_peak_ranks(w, length, peak):
+    g = rectangular_torus(w, length)
+    plan = plan_contraction(g)
+    assert plan.peak_rank == peak
+    assert len(plan.steps) == w * length - 1
+    if w * length <= 64:
+        assert plan == reference_greedy(g)
+
+
 def test_s4_rewiring_invariance():
     rng = random.Random(25)
     for trial in range(15):
@@ -162,3 +268,9 @@ def test_s4_rewiring_invariance():
         )
         assert brute_force_eval(rewired).value == want, (trial, perm)
         assert contract_eval(rewired).value == want
+
+
+def test_config_rank_cap_default_is_the_contraction_default():
+    from sixvertex.config import Config
+
+    assert Config().contraction_rank_cap == contract.DEFAULT_RANK_CAP

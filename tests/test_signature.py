@@ -221,3 +221,14 @@ def test_n_double_is_double_disequality():
     for r in range(4):
         for c in range(4):
             assert N_DOUBLE[r][c] == (ONE if r + c == 3 else ZERO)
+
+
+def test_hash_is_fixed_at_construction():
+    rng = random.Random(29)
+    for _ in range(20):
+        f = random_signature(rng)
+        g = Signature(4, list(f.values))
+        assert f == g and f is not g
+        assert hash(f) == hash(g) == hash((4, f.values))
+    with pytest.raises(AttributeError):
+        f._hash = 0
