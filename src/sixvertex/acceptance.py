@@ -100,9 +100,8 @@ def criterion_2_holographic_invariance(rng: random.Random):
         p = random_params(rng)
         f = from_six_vertex(p)
         grid = random_grid(rng, n_vertices, f)
-        transformed = {
-            v: holographic_transform(f, Z_BASIS) for v in grid.vertices
-        }
+        f_hat = holographic_transform(f, Z_BASIS)
+        transformed = dict.fromkeys(grid.vertices, f_hat)
         lhs = brute_force_eval(grid).value
         rhs = eval_bipartite_equality(grid, transformed).value
         if lhs != rhs:

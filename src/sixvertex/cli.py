@@ -226,6 +226,9 @@ def cmd_gadget(args, cfg) -> int:
     except GadgetError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except TooLargeError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     _emit(payload, args.json)
     return EXIT_OK
 

@@ -21,7 +21,6 @@ from math import lcm
 
 from .evaluate import EvalResult, TooLargeError
 from .grid import SignatureGrid, validate
-from .rational import Q
 from .scalar import ONE, Scalar
 
 __all__ = [
@@ -126,19 +125,16 @@ class _ZI2:
 
 
 def _lift(t: _Tensor, rational: bool) -> int:
-    """Scale t's entries in place by D, the lcm of the denominators of all
-    their components, storing them as ints (rational tables) or _ZI2;
-    returns D."""
-    parts = {k: (s.re0, s.im0, s.re1, s.im1) for k, s in t.data.items()}
-    den = lcm(*(int(q.denominator) for qs in parts.values() for q in qs))
-
-    def scaled(q):
-        return int(q.numerator) * (den // int(q.denominator))
-
+    """Scale t's entries in place by D, the lcm of their denominators,
+    storing them as ints (rational tables) or _ZI2; returns D."""
+    coords = {k: s.coords for k, s in t.data.items()}
+    den = lcm(*(c[4] for c in coords.values()))
     if rational:
-        t.data = {k: scaled(qs[0]) for k, qs in parts.items()}
+        t.data = {k: c[0] * (den // c[4]) for k, c in coords.items()}
     else:
-        t.data = {k: _ZI2(*map(scaled, qs)) for k, qs in parts.items()}
+        t.data = {
+            k: _ZI2(*(x * (den // c[4]) for x in c[:4])) for k, c in coords.items()
+        }
     return den
 
 
@@ -293,6 +289,6 @@ def contract_eval(
     if final.edges:
         raise AssertionError("open edges left after full contraction")
     z = final.data.get(0, 0 if rational else _ZI2(0, 0, 0, 0))
-    coords = (z,) if rational else (z.x0, z.x1, z.x2, z.x3)
-    value = Scalar(*(Q(x, scale) for x in coords))
+    coords = (z, 0, 0, 0) if rational else (z.x0, z.x1, z.x2, z.x3)
+    value = Scalar.from_coords(*coords, scale)
     return EvalResult(value, "contract", {"peak_rank": peak})

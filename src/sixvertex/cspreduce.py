@@ -53,9 +53,6 @@ class CspReduction:
     grid: SignatureGrid
     multiplier: Scalar  # 2 per degree-0 variable
 
-    def holant_equals(self, value: Scalar) -> Scalar:
-        return self.multiplier * value
-
 
 # occurrence roles: first argument uses (x1, x2) as its (left, right) cycle
 # ports, second argument uses (x4, x3); then every surviving cycle state has

@@ -12,7 +12,6 @@ sqrt2 part raises LatticeError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .scalar import I_POWERS, Scalar
 
@@ -166,8 +165,8 @@ def gaussian_valuations(q: Scalar):
         )
     if not q:
         raise ZeroDivisionError("cannot factor zero")
-    den = lcm(q.re0.denominator, q.im0.denominator)
-    num = (int(q.re0 * den), int(q.im0 * den))
+    re, im, _, _, den = q.coords
+    num = (re, im)
     unit, fac = _factor_gaussian_integer(num)
     if den != 1:
         unit_den, fac_den = _factor_gaussian_integer((den, 0))

@@ -1,18 +1,15 @@
-"""Exact rational backend: gmpy2.mpq when available, fractions.Fraction otherwise.
+"""Exact rationals: Q is fractions.Fraction.
 
-Both keep values reduced with a positive denominator, which is all the rest
-of the package relies on. gmpy2 is roughly an order of magnitude faster.
-The contraction engine does not depend on it for speed: its inner loop runs
-on integers and touches this backend only to build tensors and to divide
-out the final scale.
+Scalar does its arithmetic on integers over one shared denominator, so
+rationals appear only at the edges: the components a Scalar shows as views,
+parsing and formatting, the interpolation brackets and the acceptance
+parameters. rat_str and parse_rat give the canonical text form 'p' or
+'p/q' used by every file format and the CLI.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 __all__ = ["Q", "rat_str", "parse_rat"]
 

@@ -1,14 +1,21 @@
 """Exact arithmetic in Q(i, sqrt2).
 
-A Scalar is g0 + g1*sqrt2 with g0, g1 in Q(i); internally four rationals
-(re0, im0, re1, im1). The representation is unique because sqrt2 is not in
-Q(i), so equality is componentwise. All operations are pure and exact; no
-floating point enters except in approx_complex, which is reporting only.
+A Scalar is (n0 + n1*i + (n2 + n3*i)*sqrt2) / d with integers n0..n3 and
+d > 0, kept in lowest terms: gcd(n0, n1, n2, n3, d) == 1, and zero is
+(0, 0, 0, 0, 1). The form is unique because 1, i, sqrt2, i*sqrt2 are
+linearly independent over Q, so equality and hashing compare integers.
+Every result goes through one normalizing constructor, which does one
+multi-argument gcd and skips it when d == 1. The rational components
+re0, im0, re1, im1 (n_k / d) are read-only views for the edges: parsing,
+formatting and callers that want Fractions. All operations are pure and
+exact; no floating point enters except in approx_complex, which is
+reporting only.
 """
 
 from __future__ import annotations
 
 import re as _re
+from math import gcd, lcm
 
 import mpmath
 
@@ -38,33 +45,48 @@ class ScalarParseError(ValueError):
 
 
 class Scalar:
-    """re0 + im0*i + (re1 + im1*i)*sqrt2, all components exact rationals."""
+    """(n0 + n1*i + (n2 + n3*i)*sqrt2) / d, held as the integer tuple
+    coords = (n0, n1, n2, n3, d) in lowest terms."""
 
-    __slots__ = ("re0", "im0", "re1", "im1")
+    __slots__ = ("coords",)
 
     def __init__(self, re0=0, im0=0, re1=0, im1=0):
         """Four exact components, or one text parsed by parse_scalar."""
         if isinstance(re0, str):
             if im0 or re1 or im1:
                 raise TypeError("Scalar(text) takes no other components")
-            parsed = parse_scalar(re0)
-            re0, im0, re1, im1 = parsed.re0, parsed.im0, parsed.re1, parsed.im1
-        object.__setattr__(self, "re0", Q(re0))
-        object.__setattr__(self, "im0", Q(im0))
-        object.__setattr__(self, "re1", Q(re1))
-        object.__setattr__(self, "im1", Q(im1))
+            coords = parse_scalar(re0).coords
+        else:
+            qs = [Q(x) for x in (re0, im0, re1, im1)]
+            d = lcm(*(q.denominator for q in qs))
+            coords = tuple(q.numerator * (d // q.denominator) for q in qs) + (d,)
+        _set_coords(self, coords)
+
+    @classmethod
+    def from_coords(cls, n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
+        """(n0 + n1*i + (n2 + n3*i)*sqrt2) / d from integers, d > 0."""
+        if d <= 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        return _make(n0, n1, n2, n3, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    @classmethod
-    def _raw(cls, re0, im0, re1, im1):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "re0", re0)
-        object.__setattr__(obj, "im0", im0)
-        object.__setattr__(obj, "re1", re1)
-        object.__setattr__(obj, "im1", im1)
-        return obj
+    @property
+    def re0(self):
+        return Q(self.coords[0], self.coords[4])
+
+    @property
+    def im0(self):
+        return Q(self.coords[1], self.coords[4])
+
+    @property
+    def re1(self):
+        return Q(self.coords[2], self.coords[4])
+
+    @property
+    def im1(self):
+        return Q(self.coords[3], self.coords[4])
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
@@ -74,90 +96,87 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return (
-                self.re0 == other.re0
-                and self.im0 == other.im0
-                and self.re1 == other.re1
-                and self.im1 == other.im1
-            )
+            return self.coords == other.coords
         if isinstance(other, int):
-            return (
-                self.re0 == other
-                and not self.im0
-                and not self.re1
-                and not self.im1
-            )
+            return self.coords == (other, 0, 0, 0, 1)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re0, self.im0, self.re1, self.im1))
+        return hash(self.coords)
 
     def __bool__(self):
-        return bool(self.re0) or bool(self.im0) or bool(self.re1) or bool(self.im1)
+        return self.coords != _ZERO_COORDS
 
     def is_gaussian(self) -> bool:
         """True when the sqrt2 part vanishes (value lies in Q(i))."""
-        return not self.re1 and not self.im1
+        c = self.coords
+        return not c[2] and not c[3]
 
     def is_rational(self) -> bool:
-        return not self.im0 and self.is_gaussian()
+        c = self.coords
+        return not c[1] and not c[2] and not c[3]
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return Scalar._raw(
-            self.re0 + other.re0,
-            self.im0 + other.im0,
-            self.re1 + other.re1,
-            self.im1 + other.im1,
-        )
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+        a, b, c, d, m = self.coords
+        e, f, g, h, n = other.coords
+        if m == n:
+            return _make(a + e, b + f, c + g, d + h, m)
+        return _make(a * n + e * m, b * n + f * m, c * n + g * m, d * n + h * m, m * n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._raw(-self.re0, -self.im0, -self.re1, -self.im1)
+        a, b, c, d, m = self.coords
+        return _make(-a, -b, -c, -d, m)
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        return Scalar._raw(
-            self.re0 - other.re0,
-            self.im0 - other.im0,
-            self.re1 - other.re1,
-            self.im1 - other.im1,
-        )
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+        a, b, c, d, m = self.coords
+        e, f, g, h, n = other.coords
+        if m == n:
+            return _make(a - e, b - f, c - g, d - h, m)
+        return _make(a * n - e * m, b * n - f * m, c * n - g * m, d * n - h * m, m * n)
 
     def __rsub__(self, other):
         return as_scalar(other) - self
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        a, b, c, d = self.re0, self.im0, self.re1, self.im1
-        e, f, g, h = other.re0, other.im0, other.re1, other.im1
-        # (a+bi + (c+di)r2)(e+fi + (g+hi)r2); r2^2 = 2
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+        a, b, c, d, m = self.coords
+        e, f, g, h, n = other.coords
+        # (a+bi + (c+di)r2)(e+fi + (g+hi)r2) / (m n); r2^2 = 2
         if not (c or d or g or h):
-            return Scalar._raw(a * e - b * f, a * f + b * e, _Q0, _Q0)
-        re0 = a * e - b * f + 2 * (c * g - d * h)
-        im0 = a * f + b * e + 2 * (c * h + d * g)
-        re1 = a * g - b * h + c * e - d * f
-        im1 = a * h + b * g + c * f + d * e
-        return Scalar._raw(re0, im0, re1, im1)
+            return _make(a * e - b * f, a * f + b * e, 0, 0, m * n)
+        return _make(
+            a * e - b * f + 2 * (c * g - d * h),
+            a * f + b * e + 2 * (c * h + d * g),
+            a * g - b * h + c * e - d * f,
+            a * h + b * g + c * f + d * e,
+            m * n,
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
         if not self:
             raise ZeroDivisionError("inverse of zero Scalar")
-        a, b, c, d = self.re0, self.im0, self.re1, self.im1
+        a, b, c, d, m = self.coords
         # With g0 = a+bi and g1 = c+di: 1/(g0 + g1 r2) = (g0 - g1 r2)/den,
         # den = g0^2 - 2 g1^2 = p+qi, nonzero because sqrt2 is irrational
-        # over Q(i); and 1/den = (p-qi)/n with n = p^2 + q^2.
+        # over Q(i); and 1/den = (p-qi)/n with n = p^2 + q^2 > 0. The value
+        # is (g0 + g1 r2)/m, so its inverse is m (g0 - g1 r2)(p-qi)/n.
         p = a * a - b * b - 2 * (c * c - d * d)
         q = 2 * (a * b - 2 * c * d)
-        n = p * p + q * q
-        return Scalar._raw(
-            (a * p + b * q) / n,
-            (b * p - a * q) / n,
-            -(c * p + d * q) / n,
-            -(d * p - c * q) / n,
+        return _make(
+            m * (a * p + b * q),
+            m * (b * p - a * q),
+            -m * (c * p + d * q),
+            -m * (d * p - c * q),
+            p * p + q * q,
         )
 
     def __truediv__(self, other):
@@ -181,16 +200,37 @@ class Scalar:
 
     def conjugate(self) -> Scalar:
         """Complex conjugate (sqrt2 stays real)."""
-        return Scalar._raw(self.re0, -self.im0, self.re1, -self.im1)
+        a, b, c, d, m = self.coords
+        return _make(a, -b, c, -d, m)
+
+
+_ZERO_COORDS = (0, 0, 0, 0, 1)
+_set_coords = Scalar.coords.__set__
+_new = object.__new__
+
+
+def _make(n0, n1, n2, n3, d) -> Scalar:
+    """The Scalar (n0 + n1*i + (n2 + n3*i)*sqrt2) / d, d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
+    obj = _new(Scalar)
+    _set_coords(obj, (n0, n1, n2, n3, d))
+    return obj
 
 
 def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, int) or type(x) is type(_Q0):
+    if isinstance(x, int):
+        return _make(int(x), 0, 0, 0, 1)
+    if isinstance(x, (Q, str)):
         return Scalar(x)
-    if isinstance(x, str):
-        return parse_scalar(x)
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
@@ -228,7 +268,7 @@ def approx_complex(s: Scalar, precision_bits: int = 64):
 
 
 def _to_mpf(q):
-    return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
+    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
 # Text form: "<re>[+<im>i][+(<re2>[+<im2>i])r2]", rationals as p or p/q.

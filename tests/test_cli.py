@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -125,6 +126,23 @@ def test_gadget_commands():
     assert "all_nonzero: True" in r.stdout
     r = run_cli("gadget", "chain", "--params", "1", "2", "3", "3", "4", "4", "--s", "2")
     assert r.returncode == 2  # not a twin
+
+
+def test_gadget_chain_length_cap():
+    from sixvertex.gadgets import MAX_CHAIN_LENGTH
+
+    twin = ("--params", "1", "1", "2", "2", "3", "3")
+    t0 = time.perf_counter()
+    r = run_cli("gadget", "chain", *twin, "--s", "100000")
+    assert time.perf_counter() - t0 < 10
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.strip() == (
+        f"refused: chain length 100000 exceeds the cap {MAX_CHAIN_LENGTH}"
+    )
+    r = run_cli("gadget", "chain", *twin, "--s", str(MAX_CHAIN_LENGTH + 1))
+    assert r.returncode == 1
+    r = run_cli("gadget", "chain", *twin, "--s", "0")
+    assert r.returncode == 2 and "input error" in r.stderr
 
 
 def test_interpolate_command(tmp_path):

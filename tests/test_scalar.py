@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -154,3 +155,119 @@ def test_immutability_and_hash():
         s.re0 = Q(5)
     assert hash(Scalar(1, 2, 3, 4)) == hash(s)
     assert len({Scalar(1), Scalar(1), Scalar(2)}) == 2
+
+
+# Reference: the value as four Fractions (re0, im0, re1, im1) with the
+# componentwise formulas, independent of Scalar's integer coordinates.
+
+
+def ref_add(x, y):
+    return tuple(u + v for u, v in zip(x, y))
+
+
+def ref_sub(x, y):
+    return tuple(u - v for u, v in zip(x, y))
+
+
+def ref_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        a * e - b * f + 2 * (c * g - d * h),
+        a * f + b * e + 2 * (c * h + d * g),
+        a * g - b * h + c * e - d * f,
+        a * h + b * g + c * f + d * e,
+    )
+
+
+def ref_inverse(x):
+    a, b, c, d = x
+    p = a * a - b * b - 2 * (c * c - d * d)
+    q = 2 * (a * b - 2 * c * d)
+    n = p * p + q * q
+    return ((a * p + b * q) / n, (b * p - a * q) / n, -(c * p + d * q) / n, -(d * p - c * q) / n)
+
+
+def ref_pow(x, k):
+    if k < 0:
+        return ref_pow(ref_inverse(x), -k)
+    out = (Q(1), Q(0), Q(0), Q(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def views(s):
+    return (s.re0, s.im0, s.re1, s.im1)
+
+
+REF_POOL = (0, 0, 1, -1, 2, -6, 12, Q(1, 2), Q(-2, 7), Q(5, 3), Q(-9, 4), Q(7, 6))
+
+
+def random_reference_operand(rng):
+    """Four Fractions: sometimes zero, sometimes with no sqrt2 part."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return (Q(0),) * 4
+    x = [Q(rng.choice(REF_POOL)) for _ in range(4)]
+    if shape == 1:
+        x[2] = x[3] = Q(0)
+    return tuple(x)
+
+
+def assert_canonical(s, want):
+    """s has the value want and the one lowest-terms integer form."""
+    assert views(s) == want
+    n0, n1, n2, n3, d = s.coords
+    assert d > 0 and gcd(n0, n1, n2, n3, d) == 1
+    built = Scalar(*want)
+    assert s == built and hash(s) == hash(built)
+
+
+def test_matches_fraction_reference():
+    rng = random.Random(8)
+    for _ in range(2000):
+        x, y = random_reference_operand(rng), random_reference_operand(rng)
+        sx, sy = Scalar(*x), Scalar(*y)
+        assert views(sx) == x
+        assert_canonical(sx + sy, ref_add(x, y))
+        assert_canonical(sx - sy, ref_sub(x, y))
+        assert_canonical(sx * sy, ref_mul(x, y))
+        assert_canonical(sx.conjugate(), (x[0], -x[1], x[2], -x[3]))
+        assert_canonical(-sx, tuple(-u for u in x))
+        assert bool(sx) == any(x)
+        for n in (0, 1, -1, 2):
+            assert (sx == n) == (x == (n, 0, 0, 0))
+        if any(y):
+            assert_canonical(sx / sy, ref_mul(x, ref_inverse(y)))
+            assert_canonical(sy.inverse(), ref_inverse(y))
+        for k in range(-3, 4):
+            if k >= 0 or any(x):
+                assert_canonical(sx**k, ref_pow(x, k))
+        assert_canonical(sx + 3, ref_add(x, (Q(3), Q(0), Q(0), Q(0))))
+        assert_canonical(Q(1, 3) * sx, ref_mul((Q(1, 3), Q(0), Q(0), Q(0)), x))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (Scalar(Q(2, 4)), Scalar("1/2")),
+        (Scalar("1/3") + Scalar("2/3"), Scalar(1)),
+        (Scalar(Q(1, 6), Q(1, 3)) * 6, Scalar(1, 2)),
+        (Scalar(Q(1, 2), 0, Q(1, 2)) - Scalar(Q(1, 2), 0, Q(1, 2)), ZERO),
+        (SQRT2 * SQRT2 / 4, Scalar(Q(1, 2))),
+        (Scalar(4, 2, 6, 8) / 2, Scalar(2, 1, 3, 4)),
+    ],
+)
+def test_equal_values_built_differently(left, right):
+    assert left == right and hash(left) == hash(right)
+    assert left.coords == right.coords
+
+
+def test_from_coords_reduces_and_rejects_nonpositive_denominator():
+    s = Scalar.from_coords(2, 4, 0, 6, 4)
+    assert s == Scalar(Q(1, 2), 1, 0, Q(3, 2)) and s.coords == (1, 2, 0, 3, 2)
+    assert Scalar.from_coords(0, 0, 0, 0, 7).coords == (0, 0, 0, 0, 1)
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            Scalar.from_coords(1, 0, 0, 0, d)
