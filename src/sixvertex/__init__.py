@@ -11,18 +11,14 @@ from .scalar import (
     parse_scalar,
     ratio_power_of_i,
 )
-from .gaussint import GaussianFactorization, factor_gaussian
 from .signature import (
-    MatrixView,
     Signature,
     SixVertexParams,
     compose,
     from_six_vertex,
     holographic_transform,
-    is_redundant,
     matrix_view,
     permute_variables,
-    redundant_determinant,
     six_vertex_params,
 )
 from .grid import Port, SignatureGrid, build_torus, validate
@@ -50,6 +46,5 @@ from .interpolate import (
     interpolation_solve,
 )
 from .cspreduce import CspInstance, csp_brute_force, csp_reduction
-from .config import Config, load_config
 
 __version__ = "0.1.0"

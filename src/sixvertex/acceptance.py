@@ -10,7 +10,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .classify import classify
+from .classify import classify, in_A, in_P, reconstruct_from_a, reconstruct_from_p
 from .contract import contract_eval, sequential_plan
 from .cspreduce import CspInstance, csp_brute_force, csp_reduction
 from .evaluate import (
@@ -160,7 +160,22 @@ def criterion_4_classifier_vectors(rng: random.Random):
             c = classify(p.scaled(k))
             if (c.verdict, c.hard_case) != (base.verdict, base.hard_case):
                 return False, f"tuple {i} scale {k}: verdict changed"
-    return True, "5 vectors + invariance over 24 perms x 5 scalars x 20 tuples"
+    # the certificates classify prints and solve_P/solve_A consume rebuild f
+    rebuilds = (
+        ("P", random_p_params, in_P, lambda r: reconstruct_from_p(r, 4)),
+        ("A", random_a_params, in_A, lambda r: reconstruct_from_a(r.certificate, 4)),
+    )
+    for label, gen, test, rebuild in rebuilds:
+        for i in range(20):
+            p = gen(rng)
+            f = from_six_vertex(p)
+            report = test(f)
+            if not report.member or rebuild(report) != f:
+                return False, f"{label} tuple {i} {p}: certificate does not rebuild f"
+    return True, (
+        "5 vectors + invariance over 24 perms x 5 scalars x 20 tuples"
+        " + 20 P and 20 A certificates rebuilt exactly"
+    )
 
 
 def criterion_5_gadget_identities(rng: random.Random):

@@ -13,9 +13,8 @@ import sys
 
 from .acceptance import CRITERIA, LIEB, run_acceptance
 from .classify import classify
-from .config import load_config
-from .contract import ContractionCapError, contract_eval
-from .evaluate import TooLargeError
+from .contract import DEFAULT_RANK_CAP, ContractionCapError, contract_eval
+from .evaluate import DEFAULT_EDGE_CAP, TooLargeError
 from .gadgets import (
     GadgetError,
     chain_D,
@@ -77,7 +76,7 @@ def _emit(payload: dict, as_json: bool):
         print(f"{key}: {json.dumps(val) if isinstance(val, (dict, list)) else val}")
 
 
-def cmd_eval(args, cfg) -> int:
+def cmd_eval(args) -> int:
     try:
         grid = load_grid(args.grid)
         grid.assert_valid()
@@ -88,8 +87,8 @@ def cmd_eval(args, cfg) -> int:
         result = solve(
             grid,
             method=args.method,
-            edge_cap=cfg.brute_force_edge_cap,
-            rank_cap=cfg.contraction_rank_cap,
+            edge_cap=args.cap_edges,
+            rank_cap=args.cap_rank,
         )
     except (TooLargeError, ContractionCapError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -97,25 +96,25 @@ def cmd_eval(args, cfg) -> int:
     except SolverError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    payload = _value_report(result.value, cfg.precision_bits)
+    payload = _value_report(result.value, args.precision)
     payload["class_used"] = result.class_used
     _emit(payload, args.json)
     return EXIT_OK
 
 
-def cmd_classify(args, cfg) -> int:
+def cmd_classify(args) -> int:
     p = _parse_params(args.params)
     print(json.dumps(classify(p).to_json(), indent=1))
     return EXIT_OK
 
 
-def cmd_ice(args, cfg) -> int:
+def cmd_ice(args) -> int:
     ice = SixVertexParams.of(1, 1, 1, 1, 1, 1)
     rows = []
     for n in range(2, args.n_max + 1, 2):
         torus = build_torus(n, ice)
         try:
-            res = contract_eval(torus, rank_cap=cfg.contraction_rank_cap)
+            res = contract_eval(torus, rank_cap=args.cap_rank)
         except ContractionCapError as exc:
             print(f"refused: {exc}", file=sys.stderr)
             return EXIT_REFUSED
@@ -143,7 +142,7 @@ def cmd_ice(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args, cfg) -> int:
+def cmd_selftest(args) -> int:
     indices = None
     if args.criteria:
         try:
@@ -155,7 +154,7 @@ def cmd_selftest(args, cfg) -> int:
             raise InputError(
                 f"--criteria: no criterion {bad}, valid are 1..{len(CRITERIA)}"
             )
-    results = run_acceptance(seed=cfg.deterministic_seed, indices=indices)
+    results = run_acceptance(seed=args.seed, indices=indices)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -164,7 +163,7 @@ def cmd_selftest(args, cfg) -> int:
     return EXIT_OK if all_ok else EXIT_REFUSED
 
 
-def cmd_torus(args, cfg) -> int:
+def cmd_torus(args) -> int:
     p = _parse_params(args.params)
     try:
         grid = build_torus(args.n, p)
@@ -179,7 +178,7 @@ def cmd_torus(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_gadget(args, cfg) -> int:
+def cmd_gadget(args) -> int:
     kind = args.kind
     if kind == "det27":
         dom = ("0", "0+1i", "0-1i")
@@ -233,7 +232,7 @@ def cmd_gadget(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_interpolate(args, cfg) -> int:
+def cmd_interpolate(args) -> int:
     try:
         alpha = parse_scalar(args.alpha)
         beta = parse_scalar(args.beta)
@@ -251,7 +250,7 @@ def cmd_interpolate(args, cfg) -> int:
     except (LatticeError, InterpolationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    payload = _value_report(value, cfg.precision_bits)
+    payload = _value_report(value, args.precision)
     payload["lattice"] = {
         "rank": lattice.rank,
         "generator": list(lattice.generator) if lattice.generator else None,
@@ -265,10 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sixvertex",
         description="Exact six-vertex / Holant toolkit",
     )
-    parser.add_argument("--cap-edges", type=int, help="brute-force edge cap")
-    parser.add_argument("--cap-rank", type=int, help="contraction rank cap")
-    parser.add_argument("--precision", type=int, help="reporting precision bits")
-    parser.add_argument("--seed", type=int, help="seed for randomized suites")
+    parser.add_argument(
+        "--cap-edges", type=int, default=DEFAULT_EDGE_CAP, help="brute-force edge cap"
+    )
+    parser.add_argument(
+        "--cap-rank", type=int, default=DEFAULT_RANK_CAP, help="contraction rank cap"
+    )
+    parser.add_argument(
+        "--precision", type=int, default=64, help="reporting precision bits"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -323,19 +328,11 @@ def main(argv=None) -> int:
     if args.command == "gadget" and args.kind != "det27" and not args.params:
         parser.error("gadget kinds other than det27 require --params")
     try:
-        cfg = load_config(
-            {
-                "brute_force_edge_cap": args.cap_edges,
-                "contraction_rank_cap": args.cap_rank,
-                "precision_bits": args.precision,
-                "deterministic_seed": args.seed,
-            }
-        )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"input error: bad config: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return args.fn(args, cfg)
+        if args.cap_edges <= 0 or args.cap_rank <= 0:
+            raise InputError("--cap-edges and --cap-rank must be positive")
+        if args.precision < 24:
+            raise InputError("--precision must be >= 24")
+        return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

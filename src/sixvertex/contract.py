@@ -49,12 +49,11 @@ class ContractionPlan:
 
 
 class _Tensor:
-    __slots__ = ("edges", "data", "vertices")
+    __slots__ = ("edges", "data")
 
-    def __init__(self, edges, data, vertices):
+    def __init__(self, edges, data):
         self.edges = tuple(edges)
         self.data = data
-        self.vertices = vertices
 
 
 def _incidence(grid: SignatureGrid) -> dict[int, dict[int, list[tuple[int, int]]]]:
@@ -78,7 +77,7 @@ def _open_masks(grid: SignatureGrid) -> dict[int, int]:
     }
 
 
-def _vertex_tensor(sig, v: int, ends: dict[int, list[tuple[int, int]]]) -> _Tensor:
+def _vertex_tensor(sig, ends: dict[int, list[tuple[int, int]]]) -> _Tensor:
     open_edges = [e for e, lst in ends.items() if len(lst) == 1]
     loops = [lst for lst in ends.values() if len(lst) == 2]
     data: dict[int, Scalar] = {}
@@ -95,7 +94,7 @@ def _vertex_tensor(sig, v: int, ends: dict[int, list[tuple[int, int]]]) -> _Tens
             key |= (bits[slot] ^ flip) << i
         cur = data.get(key)
         data[key] = val if cur is None else cur + val
-    return _Tensor(open_edges, {k: v for k, v in data.items() if v}, frozenset((v,)))
+    return _Tensor(open_edges, {k: v for k, v in data.items() if v})
 
 
 class _ZI2:
@@ -138,18 +137,10 @@ def _lift(t: _Tensor, rational: bool) -> int:
     return den
 
 
-def _cap_error(ka, kb, rank: int, rank_cap: int) -> ContractionCapError:
-    return ContractionCapError(
-        f"merging {sorted(ka)} with {sorted(kb)} needs rank {rank} > cap {rank_cap}"
-    )
-
-
-def _merge(a: _Tensor, b: _Tensor, rank_cap: int) -> _Tensor:
+def _merge(a: _Tensor, b: _Tensor) -> _Tensor:
     ea, eb = set(a.edges), set(b.edges)
     shared = sorted(ea & eb)
     out_edges = sorted(ea ^ eb)
-    if len(out_edges) > rank_cap:
-        raise _cap_error(a.vertices, b.vertices, len(out_edges), rank_cap)
     apos = {e: i for i, e in enumerate(a.edges)}
     bpos = {e: i for i, e in enumerate(b.edges)}
     opos = {e: i for i, e in enumerate(out_edges)}
@@ -181,7 +172,7 @@ def _merge(a: _Tensor, b: _Tensor, rank_cap: int) -> _Tensor:
             cur = data.get(k)
             data[k] = prod if cur is None else cur + prod
     data = {k: v for k, v in data.items() if v}
-    return _Tensor(out_edges, data, a.vertices | b.vertices)
+    return _Tensor(out_edges, data)
 
 
 def plan_contraction(grid: SignatureGrid) -> ContractionPlan:
@@ -238,18 +229,26 @@ def sequential_plan(grid: SignatureGrid, order=None) -> ContractionPlan:
     return ContractionPlan(tuple(steps), peak)
 
 
-def _first_step_over(grid: SignatureGrid, plan: ContractionPlan, rank_cap: int):
-    """Replay the plan on edge masks: the first step (ka, kb, rank) whose
-    merge has more than rank_cap open edges, or None."""
+def _replay(grid: SignatureGrid, plan: ContractionPlan, rank_cap: int) -> int:
+    """Check the plan on edge masks before any tensor is built: every step
+    must merge two live tensors within rank_cap open edges, and the last
+    must leave one tensor. Returns the peak rank."""
     live = {frozenset((v,)): m for v, m in _open_masks(grid).items()}
+    peak = max(m.bit_count() for m in live.values())
     for ka, kb in plan.steps:
-        if ka not in live or kb not in live:
-            return None  # the merge loop reports the mismatch
+        if ka == kb or ka not in live or kb not in live:
+            raise ValueError(f"plan step ({sorted(ka)}, {sorted(kb)}) does not match grid")
         merged = live.pop(ka) ^ live.pop(kb)
-        if merged.bit_count() > rank_cap:
-            return ka, kb, merged.bit_count()
+        rank = merged.bit_count()
+        if rank > rank_cap:
+            raise ContractionCapError(
+                f"merging {sorted(ka)} with {sorted(kb)} needs rank {rank} > cap {rank_cap}"
+            )
         live[ka | kb] = merged
-    return None
+        peak = max(peak, rank)
+    if len(live) != 1:
+        raise ValueError("plan does not contract the grid to one tensor")
+    return peak
 
 
 def contract_eval(
@@ -264,30 +263,18 @@ def contract_eval(
         return EvalResult(ONE, "contract", {"peak_rank": 0})
     if plan is None:
         plan = plan_contraction(grid)
-    if plan.peak_rank > rank_cap:
-        over = _first_step_over(grid, plan, rank_cap)
-        if over is not None:
-            raise _cap_error(*over, rank_cap)
+    peak = _replay(grid, plan, rank_cap)
     live = {
-        frozenset((v,)): _vertex_tensor(grid.vertices[v], v, ends)
+        frozenset((v,)): _vertex_tensor(grid.vertices[v], ends)
         for v, ends in _incidence(grid).items()
     }
-    peak = max(len(t.edges) for t in live.values())
     rational = all(s.is_rational() for t in live.values() for s in t.data.values())
     scale = 1
     for t in live.values():
         scale *= _lift(t, rational)
     for ka, kb in plan.steps:
-        if ka not in live or kb not in live:
-            raise ValueError(f"plan step ({sorted(ka)}, {sorted(kb)}) does not match grid")
-        t = _merge(live.pop(ka), live.pop(kb), rank_cap)
-        live[ka | kb] = t
-        peak = max(peak, len(t.edges))
-    if len(live) != 1:
-        raise ValueError("plan does not contract the grid to one tensor")
-    final = next(iter(live.values()))
-    if final.edges:
-        raise AssertionError("open edges left after full contraction")
+        live[ka | kb] = _merge(live.pop(ka), live.pop(kb))
+    (final,) = live.values()
     z = final.data.get(0, 0 if rational else _ZI2(0, 0, 0, 0))
     coords = (z, 0, 0, 0) if rational else (z.x0, z.x1, z.x2, z.x3)
     value = Scalar.from_coords(*coords, scale)

@@ -11,16 +11,9 @@ sqrt2 part raises LatticeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .scalar import Scalar
 
-from .scalar import I_POWERS, Scalar
-
-__all__ = [
-    "GaussianFactorization",
-    "LatticeError",
-    "factor_gaussian",
-    "gaussian_valuations",
-]
+__all__ = ["LatticeError", "gaussian_valuations"]
 
 
 class LatticeError(ValueError):
@@ -134,28 +127,6 @@ def _factor_gaussian_integer(z):
     return _UNIT_EXPONENT[z], factors
 
 
-@dataclass(frozen=True)
-class GaussianFactorization:
-    """unit * prod(prime^exp) == the factored value, exactly.
-
-    unit_exponent e encodes unit = i^e; primes are canonical associates and
-    exponents are nonzero (negative for denominator primes).
-    """
-
-    unit_exponent: int
-    factors: tuple[tuple[Scalar, int], ...]
-
-    @property
-    def unit(self) -> Scalar:
-        return I_POWERS[self.unit_exponent]
-
-    def value(self) -> Scalar:
-        out = self.unit
-        for prime, exp in self.factors:
-            out = out * prime**exp
-        return out
-
-
 def gaussian_valuations(q: Scalar):
     """(unit_exponent, {(re, im) prime key: exponent}) of a nonzero element
     of Q(i): the canonical factorization with integer prime keys."""
@@ -175,10 +146,3 @@ def gaussian_valuations(q: Scalar):
             fac[prime] = fac.get(prime, 0) - exp
     return unit % 4, {p: e for p, e in sorted(fac.items()) if e != 0}
 
-
-def factor_gaussian(q: Scalar) -> GaussianFactorization:
-    """Canonical factorization of a nonzero element of Q(i)."""
-    unit, fac = gaussian_valuations(q)
-    return GaussianFactorization(
-        unit, tuple((Scalar(re, im), e) for (re, im), e in fac.items())
-    )

@@ -1,6 +1,5 @@
-"""The interpolation lemma: exponent lattices of (alpha, beta) over Q(i),
-coset-grouped Vandermonde solving, and rational sign-change certificates for
-the off-diagonal root cases.
+"""The interpolation lemma: exponent lattices of (alpha, beta) over Q(i) and
+coset-grouped Vandermonde solving.
 
 compute_lattice is an exact decision procedure via Gaussian-prime
 factorization: alpha^j beta^k = 1 iff every prime valuation combination
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .gaussint import LatticeError, gaussian_valuations
-from .rational import Q
 from .scalar import ONE, Scalar, ZERO
 
 __all__ = [
@@ -27,8 +25,6 @@ __all__ = [
     "interpolation_solve",
     "make_observations",
     "cone_points",
-    "sign_change_certificate",
-    "offdiagonal_root_certificate",
 ]
 
 
@@ -220,55 +216,3 @@ def interpolation_solve(
         total = total + weight * xhat
     return total
 
-
-# ------------------------------------------------ root-existence checks
-
-
-def sign_change_certificate(fn, lo, hi, refinements: int = 20):
-    """Exact-rational bisection bracket for a root of fn on [lo, hi].
-
-    fn maps rationals to rationals exactly; requires a sign change on the
-    endpoints. Returns (lo', hi') with fn(lo')*fn(hi') <= 0 and width
-    (hi-lo)/2^refinements.
-    """
-    lo, hi = Q(lo), Q(hi)
-    flo, fhi = fn(lo), fn(hi)
-    if flo * fhi > 0:
-        raise ValueError("no sign change on the given interval")
-    for _ in range(refinements):
-        mid = (lo + hi) / 2
-        fmid = fn(mid)
-        if flo * fmid <= 0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    return lo, hi
-
-
-def offdiagonal_root_certificate(s: int, t: int):
-    """Existence bracket for the root the rank-1 off-diagonal cases need.
-
-    t > 0, s >= 0: psi0 in (0,1] with (psi+2)^s psi^t = 1.
-    t > 0, s < 0, |t| > |s|: psi0 in (1, inf) with psi^|t| = (psi+2)^|s|.
-    t > 0, s < 0, |t| < |s|: phi0 in (1, inf) with phi^|s| = (phi+2)^|t|.
-    """
-    if t <= 0:
-        raise ValueError("these cases have t > 0")
-    if s >= 0:
-        fn = lambda q: (q + 2) ** s * q**t - 1
-        lo, hi = Q(1, 1 << 8), Q(1)
-        label = "psi in (0,1]"
-    elif t > -s:
-        fn = lambda q: q**t - (q + 2) ** (-s)
-        lo, hi, label = Q(1), None, "psi in (1,inf)"
-    elif t < -s:
-        fn = lambda q: q ** (-s) - (q + 2) ** t
-        lo, hi, label = Q(1), None, "phi in (1,inf)"
-    else:
-        raise ValueError("|s| = |t| with s < 0 < t has no off-diagonal root")
-    if hi is None:
-        hi = Q(2)
-        while fn(hi) < 0:
-            hi *= 2
-    bracket = sign_change_certificate(fn, lo, hi)
-    return {"case": label, "bracket": bracket, "values": (fn(bracket[0]), fn(bracket[1]))}

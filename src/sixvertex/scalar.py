@@ -72,6 +72,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar.from_coords, self.coords
+
     @property
     def re0(self):
         return Q(self.coords[0], self.coords[4])
@@ -102,7 +105,11 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coords)
+        # an integer value hashes as the int it equals
+        c = self.coords
+        if c[1] or c[2] or c[3] or c[4] != 1:
+            return hash(c)
+        return hash(c[0])
 
     def __bool__(self):
         return self.coords != _ZERO_COORDS

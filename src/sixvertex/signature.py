@@ -1,5 +1,5 @@
 """Arity <= 4 signatures: tables, matrix views, S4 action, composition
-through the double disequality, holographic transforms, redundancy test.
+through the double disequality, holographic transforms.
 
 Bit conventions used everywhere: a signature of arity k stores 2^k values in
 lexicographic order of x1..xk with x1 the most significant bit, so
@@ -17,8 +17,6 @@ from .scalar import HALF_SQRT2, I, ONE, ZERO, Scalar, as_scalar
 __all__ = [
     "Signature",
     "SixVertexParams",
-    "MatrixView",
-    "BlockAction",
     "SignatureError",
     "LAMBDA",
     "LAMBDA_BAR",
@@ -26,9 +24,7 @@ __all__ = [
     "MU_BAR",
     "NU",
     "NU_BAR",
-    "SUPPORT_PAIRS",
     "Z_BASIS",
-    "H_MATRIX",
     "N_DOUBLE",
     "from_six_vertex",
     "six_vertex_params",
@@ -38,17 +34,13 @@ __all__ = [
     "compose",
     "mat_mul",
     "permute_variables",
-    "block_action",
     "holographic_transform",
-    "is_redundant",
-    "redundant_determinant",
 ]
 
 # The six weight-2 strings, as 4-bit integers (x1 = MSB).
 LAMBDA, LAMBDA_BAR = 0b0011, 0b1100
 MU, MU_BAR = 0b0110, 0b1001
 NU, NU_BAR = 0b0101, 0b1010
-SUPPORT_PAIRS = ((LAMBDA, LAMBDA_BAR), (MU, MU_BAR), (NU, NU_BAR))
 _WEIGHT2 = frozenset(
     (LAMBDA, LAMBDA_BAR, MU, MU_BAR, NU, NU_BAR)
 )
@@ -83,6 +75,9 @@ class Signature:
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
 
+    def __reduce__(self):
+        return Signature, (self.arity, self.values)
+
     def __getitem__(self, index: int) -> Scalar:
         return self.values[index]
 
@@ -103,10 +98,6 @@ class Signature:
 
     def is_zero(self) -> bool:
         return not any(self.values)
-
-    def scaled(self, k) -> Signature:
-        k = as_scalar(k)
-        return Signature(self.arity, tuple(k * v for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -164,17 +155,9 @@ def six_vertex_params(f: Signature) -> SixVertexParams | None:
     )
 
 
-@dataclass(frozen=True)
-class MatrixView:
-    """4x4 matrix of an arity-4 signature with rows (x_i, x_j) and columns
-    (x_k, x_l), both in lexicographic order."""
-
-    row_vars: tuple[int, int]
-    col_vars: tuple[int, int]
-    entries: tuple[tuple[Scalar, ...], ...]
-
-
-def matrix_view(f: Signature, row_vars, col_vars) -> MatrixView:
+def matrix_view(f: Signature, row_vars, col_vars):
+    """4x4 matrix of an arity-4 signature, as a tuple of rows, with rows
+    (x_i, x_j) and columns (x_k, x_l), both in lexicographic order."""
     row_vars = tuple(row_vars)
     col_vars = tuple(col_vars)
     if f.arity != 4:
@@ -195,7 +178,7 @@ def matrix_view(f: Signature, row_vars, col_vars) -> MatrixView:
             idx = (bits[0] << 3) | (bits[1] << 2) | (bits[2] << 1) | bits[3]
             row.append(f[idx])
         rows.append(tuple(row))
-    return MatrixView(row_vars, col_vars, tuple(rows))
+    return tuple(rows)
 
 
 def signature_from_matrix(entries) -> Signature:
@@ -223,11 +206,12 @@ N_DOUBLE = tuple(
 )
 
 
-def compose(fM: MatrixView, gM: MatrixView) -> Signature:
+def compose(fM, gM) -> Signature:
     """Link the column variables of f to the row variables of g through two
-    disequalities; the result has signature matrix fM * N * gM, read with
-    rows (x1, x2) and columns (x4, x3) of the new arity-4 signature."""
-    prod = mat_mul(mat_mul(fM.entries, N_DOUBLE), gM.entries)
+    disequalities, given their matrix_view rows fM and gM; the result has
+    signature matrix fM * N * gM, read with rows (x1, x2) and columns
+    (x4, x3) of the new arity-4 signature."""
+    prod = mat_mul(mat_mul(fM, N_DOUBLE), gM)
     return signature_from_matrix(prod)
 
 
@@ -244,43 +228,6 @@ def permute_variables(f: Signature, perm) -> Signature:
             src = (src << 1) | bit_of(y, perm[i] - 1, k)
         values[y] = f[src]
     return Signature(k, values)
-
-
-@dataclass(frozen=True)
-class BlockAction:
-    """How a variable permutation acts on the three complementary pairs:
-    pair_map[k] is the image pair of pair k (0=lambda, 1=mu, 2=nu), and
-    flipped lists the image pairs whose two strings got swapped."""
-
-    pair_map: tuple[int, int, int]
-    flipped: frozenset[int]
-
-
-def _string_image(s: int, perm: tuple[int, ...]) -> int:
-    # support string of f at s moves to s' with s'_{perm(i)} = s_i
-    out = 0
-    for i in range(4):
-        out |= bit_of(s, i, 4) << (4 - perm[i])
-    return out
-
-
-def block_action(perm) -> BlockAction:
-    perm = tuple(perm)
-    if sorted(perm) != [1, 2, 3, 4]:
-        raise SignatureError(f"{perm} is not a permutation of 1..4")
-    pair_map = []
-    flipped = set()
-    for k, (first, _second) in enumerate(SUPPORT_PAIRS):
-        img = _string_image(first, perm)
-        for j, (u, ubar) in enumerate(SUPPORT_PAIRS):
-            if img == u:
-                pair_map.append(j)
-                break
-            if img == ubar:
-                pair_map.append(j)
-                flipped.add(j)
-                break
-    return BlockAction(tuple(pair_map), frozenset(flipped))
 
 
 def all_permutations():
@@ -311,29 +258,5 @@ Z_BASIS = (
     (I * HALF_SQRT2, -(I * HALF_SQRT2)),
 )
 
-H_MATRIX = (
-    (HALF_SQRT2, HALF_SQRT2),
-    (HALF_SQRT2, -HALF_SQRT2),
-)
-
 NEQ2_MATRIX = ((ZERO, ONE), (ONE, ZERO))
 
-
-def is_redundant(f: Signature) -> bool:
-    """Middle two rows and middle two columns of M_{x1x2,x4x3} identical."""
-    m = matrix_view(f, (1, 2), (4, 3)).entries
-    return m[1] == m[2] and all(m[r][1] == m[r][2] for r in range(4))
-
-
-def redundant_determinant(f: Signature) -> Scalar:
-    """Determinant of the 3x3 compression (middle row/column collapsed);
-    nonzero certifies #P-hardness for redundant signatures."""
-    if not is_redundant(f):
-        raise SignatureError("determinant only defined for redundant signatures")
-    m = matrix_view(f, (1, 2), (4, 3)).entries
-    g = [[m[r][c] for c in (0, 1, 3)] for r in (0, 1, 3)]
-    return (
-        g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-        - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-        + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-    )

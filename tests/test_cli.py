@@ -8,10 +8,8 @@ import pytest
 BASE = [sys.executable, "-m", "sixvertex.cli"]
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=env
-    )
+def run_cli(*args):
+    return subprocess.run(BASE + list(args), capture_output=True, text=True)
 
 
 def test_classify_hard_case2():
@@ -188,13 +186,13 @@ def test_selftest_bad_criteria_exit2(criteria):
     assert r.stdout == ""
 
 
-def test_env_config(tmp_path):
-    import os
-
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"brute_force_edge_cap": 4}))
-    grid = tmp_path / "t2.json"
-    run_cli("torus", "--n", "2", "--params", *["1"] * 6, "-o", str(grid))
-    env = dict(os.environ, HOLANT6V_CONFIG=str(cfg))
-    r = run_cli("eval", str(grid), "--method", "brute", env=env)
-    assert r.returncode == 1
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--cap-edges", "0"), ("--cap-rank", "-1"), ("--precision", "8")],
+)
+def test_bad_global_flag_exit2(flag, value):
+    r = run_cli(flag, value, "classify", *["1"] * 6)
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error:")
+    assert flag in r.stderr
+    assert r.stdout == ""

@@ -159,6 +159,25 @@ def test_refuses_from_the_plan_before_any_arithmetic(monkeypatch):
     assert "needs rank" in str(up_front.value)
 
 
+def test_foreign_plan_step_rejected_before_any_arithmetic(monkeypatch):
+    t = build_torus(3, ICE)
+    steps = plan_contraction(t).steps
+    foreign = (frozenset((0,)), frozenset((99,)))
+
+    def fail(*args):
+        raise AssertionError("arithmetic ran before the refusal")
+
+    monkeypatch.setattr(contract, "_vertex_tensor", fail)
+    monkeypatch.setattr(contract, "_merge", fail)
+    with pytest.raises(ValueError, match=r"plan step \(\[0\], \[99\]\) does not match grid"):
+        contract_eval(t, plan=ContractionPlan((foreign,) + steps, 0))
+    twice = (frozenset((0,)), frozenset((0,)))
+    with pytest.raises(ValueError, match=r"plan step \(\[0\], \[0\]\) does not match grid"):
+        contract_eval(t, plan=ContractionPlan((twice,) + steps, 0))
+    with pytest.raises(ValueError, match="does not contract the grid to one tensor"):
+        contract_eval(t, plan=ContractionPlan(steps[:-1], 0))
+
+
 def reference_greedy(grid):
     """The planner's specification, rescanning every live pair at every
     step (O(V^3)): merge the pair minimizing the resulting open-index count,
@@ -271,6 +290,9 @@ def test_s4_rewiring_invariance():
 
 
 def test_config_rank_cap_default_is_the_contraction_default():
-    from sixvertex.config import Config
+    from sixvertex.cli import build_parser
+    from sixvertex.evaluate import DEFAULT_EDGE_CAP
 
-    assert Config().contraction_rank_cap == contract.DEFAULT_RANK_CAP
+    args = build_parser().parse_args(["selftest"])
+    assert args.cap_rank == contract.DEFAULT_RANK_CAP
+    assert args.cap_edges == DEFAULT_EDGE_CAP

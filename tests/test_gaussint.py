@@ -4,42 +4,49 @@ import sys
 
 import pytest
 
-from sixvertex.gaussint import factor_gaussian, gaussian_valuations
+from sixvertex.gaussint import gaussian_valuations
 from sixvertex.rational import Q
 from sixvertex.interpolate import LatticeError
-from sixvertex.scalar import SQRT2, Scalar
+from sixvertex.scalar import I_POWERS, SQRT2, Scalar
+
+
+def rebuild(unit, factors):
+    """i^unit * prod(prime^exp): the value gaussian_valuations factored."""
+    out = I_POWERS[unit]
+    for (re, im), e in factors.items():
+        out = out * Scalar(re, im) ** e
+    return out
 
 
 def test_factor_two():
-    f = factor_gaussian(Scalar(2))
-    assert f.factors == ((Scalar(1, 1), 2),)
-    assert f.unit_exponent == 3  # 2 = -i * (1+i)^2
-    assert f.value() == Scalar(2)
+    unit, factors = gaussian_valuations(Scalar(2))
+    assert factors == {(1, 1): 2}
+    assert unit == 3  # 2 = -i * (1+i)^2
+    assert rebuild(unit, factors) == Scalar(2)
 
 
 def test_factor_unit():
-    f = factor_gaussian(Scalar(0, 1))
-    assert f.factors == ()
-    assert f.unit == Scalar(0, 1)
+    unit, factors = gaussian_valuations(Scalar(0, 1))
+    assert factors == {}
+    assert I_POWERS[unit] == Scalar(0, 1)
 
 
 def test_factor_three_fifths():
-    f = factor_gaussian(Scalar(Q(3, 5)))
-    primes = {(p.re0, p.im0): e for p, e in f.factors}
-    assert primes[(3, 0)] == 1
-    assert primes[(2, 1)] == -1
-    assert primes[(1, 2)] == -1
-    assert f.value() == Scalar(Q(3, 5))
+    unit, factors = gaussian_valuations(Scalar(Q(3, 5)))
+    assert factors[(3, 0)] == 1
+    assert factors[(2, 1)] == -1
+    assert factors[(1, 2)] == -1
+    assert rebuild(unit, factors) == Scalar(Q(3, 5))
 
 
 def test_factor_rejects_zero():
     with pytest.raises(ZeroDivisionError):
-        factor_gaussian(Scalar(0))
+        gaussian_valuations(Scalar(0))
 
 
 def test_factor_rejects_sqrt2():
     with pytest.raises(LatticeError):
-        factor_gaussian(SQRT2)
+        gaussian_valuations(SQRT2)
     with pytest.raises(LatticeError):
         gaussian_valuations(Scalar(1, 0, 0, 1))
 
@@ -52,18 +59,17 @@ def test_round_trip_randomized():
         if not re and not im:
             continue
         q = Scalar(re, im)
-        f = factor_gaussian(q)
-        assert f.value() == q
+        unit, factors = gaussian_valuations(q)
+        assert rebuild(unit, factors) == q
         # canonical associates: first quadrant, or rational inert primes
-        for p, e in f.factors:
+        for (p_re, p_im), e in factors.items():
             assert e != 0
-            assert p.is_gaussian()
-            assert (p.re0 > 0 and p.im0 >= 0) or (p.im0 == 0 and p.re0 > 0)
+            assert p_re > 0 and p_im >= 0
 
 
 def test_deterministic():
     q = Scalar(Q(-7, 4), Q(3, 2))
-    assert factor_gaussian(q) == factor_gaussian(q)
+    assert gaussian_valuations(q) == gaussian_valuations(q)
 
 
 def test_valuations_match_exponent_arithmetic():

@@ -10,8 +10,6 @@ from sixvertex.interpolate import (
     cone_points,
     interpolation_solve,
     make_observations,
-    offdiagonal_root_certificate,
-    sign_change_certificate,
 )
 from sixvertex.rational import Q
 from sixvertex.sampling import SCALAR_POOL
@@ -140,26 +138,3 @@ class TestInterpolationSolve:
             want = want + phi**j * psi**k * xv
         assert interpolation_solve(inst, phi, psi) == want
 
-
-class TestRootCertificates:
-    def test_bracket_shrinks_and_signs(self):
-        fn = lambda q: q * q - 2
-        lo, hi = sign_change_certificate(fn, 1, 2, refinements=30)
-        assert fn(lo) <= 0 <= fn(hi)
-        assert hi - lo == Q(1, 2**30)
-
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(ValueError):
-            sign_change_certificate(lambda q: q * q + 1, -1, 1)
-
-    @pytest.mark.parametrize("s,t", [(0, 1), (2, 3), (-1, 3), (-4, 2), (-3, 5)])
-    def test_offdiagonal_cases(self, s, t):
-        cert = offdiagonal_root_certificate(s, t)
-        lo_val, hi_val = cert["values"]
-        assert lo_val * hi_val <= 0
-
-    def test_degenerate_cases_rejected(self):
-        with pytest.raises(ValueError):
-            offdiagonal_root_certificate(1, 0)
-        with pytest.raises(ValueError):
-            offdiagonal_root_certificate(-2, 2)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import gcd
 
@@ -271,3 +273,34 @@ def test_from_coords_reduces_and_rejects_nonpositive_denominator():
     for d in (0, -2):
         with pytest.raises(ValueError):
             Scalar.from_coords(1, 0, 0, 0, d)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "signature", "params", "grid"])
+def test_copy_deepcopy_and_pickle_round_trip(kind):
+    from sixvertex.grid import build_torus
+    from sixvertex.signature import Signature, SixVertexParams
+
+    params = SixVertexParams.of(1, "1/2", "-2i", 0, "1+(1/3)r2", 2)
+    obj = {
+        "scalar": Scalar(Q(1, 3), -2, Q(5, 7), 1),
+        "signature": Signature(2, [ZERO, SQRT2, I, Scalar("1/2")]),
+        "params": params,
+        "grid": build_torus(2, params),
+    }[kind]
+    for other in (
+        copy.copy(obj),
+        copy.deepcopy(obj),
+        pickle.loads(pickle.dumps(obj)),
+    ):
+        assert other == obj
+        if kind != "grid":  # SignatureGrid holds a dict and is unhashable
+            assert hash(other) == hash(obj)
+
+
+@pytest.mark.parametrize("n", [0, 1, -3, 2**70])
+def test_integer_valued_scalar_hashes_as_its_int(n):
+    s = Scalar(n)
+    assert s == n and hash(s) == hash(n)
+    assert n in {s} and s in {n}
+    assert {s: "x"}[n] == "x" and {n: "x"}[s] == "x"
+    assert Scalar(n, 1) not in {n}
