@@ -109,6 +109,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ice(args) -> int:
+    if args.n_max < 2:
+        raise InputError("--n-max must be >= 2")
     ice = SixVertexParams.of(1, 1, 1, 1, 1, 1)
     rows = []
     for n in range(2, args.n_max + 1, 2):
@@ -171,7 +173,11 @@ def cmd_torus(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output:
-        save_grid(grid, args.output)
+        try:
+            save_grid(grid, args.output)
+        except OSError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {args.output} ({len(grid.vertices)} vertices, {len(grid.edges)} edges)")
     else:
         print(json.dumps(grid_to_json(grid), indent=1))

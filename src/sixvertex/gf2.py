@@ -1,10 +1,11 @@
 """GF(2) linear systems and Z4 quadratic phases for the Gauss-sum solver.
 
 A phase is c + sum l_v x_v + 2 sum q_uv x_u x_v (mod 4) over 0/1 variables,
-with q_uv in {0,1} (even cross terms). This class is closed under
-substituting any variable by an XOR of other variables plus a constant, and
-sums i^phase over all assignments evaluate by one-variable elimination with
-multipliers 0, 2, or 1 +- i, staying inside Q(i).
+with q_uv in {0,1} (even cross terms), so the cross terms are stored as a
+neighbour set per variable. This class is closed under substituting any
+variable by an XOR of other variables plus a constant, and sums i^phase over
+all assignments evaluate by one-variable elimination with multipliers 0, 2,
+or 1 +- i, staying inside Q(i).
 """
 
 from __future__ import annotations
@@ -14,9 +15,19 @@ from .scalar import I, I_POWERS, ONE, ZERO
 __all__ = ["LinearSystemGF2", "QuadraticPhase", "gauss_sum"]
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class LinearSystemGF2:
-    """Equations mask . x = rhs over GF(2), reduced with pivots chosen in
-    ascending variable order (lowest set bit)."""
+    """Equations mask . x = rhs over GF(2) in echelon form: each row's pivot
+    is its lowest set bit, and no two rows share a pivot."""
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -37,15 +48,14 @@ class LinearSystemGF2:
         if rhs:
             self.consistent = False
 
-    def reduce(self):
-        """Back-substitute to reduced row echelon form."""
-        for var in sorted(self.pivots, reverse=True):
-            pmask, prhs = self.pivots[var]
-            for other, (omask, orhs) in list(self.pivots.items()):
-                if other != var and (omask >> var) & 1:
-                    self.pivots[other] = (omask ^ pmask, orhs ^ prhs)
+    def reduce(self, phase: QuadraticPhase) -> list[int]:
+        """Substitute every pivot into phase and return the free variables.
 
-    def free_vars(self):
+        A row's other bits are higher than its pivot, so substituting the
+        pivots lowest first never brings back one already substituted."""
+        for var in sorted(self.pivots):
+            mask, rhs = self.pivots[var]
+            phase.substitute(var, rhs, _bits(mask ^ (1 << var)))
         return [v for v in range(self.nvars) if v not in self.pivots]
 
 
@@ -53,7 +63,7 @@ class QuadraticPhase:
     def __init__(self):
         self.const = 0
         self.lin: dict[int, int] = {}
-        self.cross: dict[tuple[int, int], int] = {}
+        self.nbrs: dict[int, set[int]] = {}  # v -> {u : q_uv == 1}
 
     def add_const(self, c: int):
         self.const = (self.const + c) % 4
@@ -70,12 +80,9 @@ class QuadraticPhase:
             # x^2 = x, and the cross slot carries a factor 2
             self.add_linear(u, 2 * (c % 2))
             return
-        key = (u, v) if u < v else (v, u)
-        c = (self.cross.get(key, 0) + c) % 2
-        if c:
-            self.cross[key] = c
-        else:
-            self.cross.pop(key, None)
+        if c % 2:
+            for a, b in ((u, v), (v, u)):
+                self.nbrs.setdefault(a, set()).symmetric_difference_update((b,))
 
     def add_scaled_parity(self, k: int, eps: int, others):
         """Add k * (eps xor XOR(others)) to the phase, k in Z4."""
@@ -91,27 +98,19 @@ class QuadraticPhase:
             for j in range(i + 1, len(others)):
                 self.add_cross(others[i], others[j], k)
 
-    def cross_partners(self, v: int):
-        return [
-            (a if b == v else b)
-            for (a, b) in self.cross
-            if a == v or b == v
-        ]
-
-    def remove_var(self, v: int):
-        self.lin.pop(v, None)
-        for key in [k for k in self.cross if v in k]:
-            del self.cross[key]
+    def pop_var(self, v: int):
+        """Remove every term in x_v; return its linear coefficient and its
+        cross partners."""
+        ell = self.lin.pop(v, 0)
+        partners = self.nbrs.pop(v, set())
+        for a in partners:
+            self.nbrs[a].discard(v)
+        return ell, partners
 
     def substitute(self, v: int, eps: int, others):
         """Replace x_v := eps xor XOR(others); others must not contain v."""
-        others = list(others)
-        ell = self.lin.pop(v, 0)
-        partners = self.cross_partners(v)
-        for key in [k for k in self.cross if v in k]:
-            del self.cross[key]
-        if ell:
-            self.add_scaled_parity(ell, eps, others)
+        ell, partners = self.pop_var(v)
+        self.add_scaled_parity(ell, eps, others)
         for a in partners:
             # 2 x_a (eps xor parity) == 2 x_a (eps + sum others) mod 4
             self.add_linear(a, 2 * eps)
@@ -127,25 +126,21 @@ def gauss_sum(phase: QuadraticPhase, variables) -> Scalar:
     """Sum of i^phase over all 0/1 assignments of the given variables."""
     live = set(variables)
     multiplier = ONE
-    while live:
-        v = min(live)
-        live.discard(v)
-        ell = phase.lin.pop(v, 0)
-        partners = phase.cross_partners(v)
-        phase.remove_var(v)
+    for v in sorted(live):
+        if v not in live:
+            continue
+        ell, partners = phase.pop_var(v)
         if ell % 2:
             multiplier = multiplier * (_ONE_PLUS_I if ell == 1 else _ONE_MINUS_I)
             phase.add_scaled_parity(3 if ell == 1 else 1, 0, partners)
+        elif partners:
+            # summing x_v out leaves 2 when the partners' parity is ell / 2
+            multiplier = multiplier * 2
+            k0 = min(partners)
+            live.discard(k0)
+            phase.substitute(k0, ell // 2, partners - {k0})
+        elif ell:
+            return ZERO
         else:
-            want = 0 if ell == 0 else 1
-            if not partners:
-                if want:
-                    return ZERO
-                multiplier = multiplier * 2
-            else:
-                multiplier = multiplier * 2
-                k0 = min(partners)
-                rest = [p for p in partners if p != k0]
-                live.discard(k0)
-                phase.substitute(k0, want, rest)
+            multiplier = multiplier * 2
     return multiplier * I_POWERS[phase.const % 4]

@@ -169,6 +169,8 @@ def interpolation_solve(
     inst: InterpolationInstance, phi: Scalar, psi: Scalar
 ) -> Scalar:
     """Recover sum phi^j psi^k x_{j,k} from the N_l observations."""
+    if inst.m < 0:
+        raise InterpolationError("m must be >= 0")
     lattice = compute_lattice(inst.alpha, inst.beta)
     if lattice.rank == 2:
         raise InterpolationError(

@@ -2,10 +2,11 @@
 dispatching solve() front end.
 
 solve_P propagates pattern choices across tensor-factor blocks; solve_A
-assembles one global GF(2)-constrained Z4 quadratic phase and evaluates it as
-a Gauss sum; solve_M pins the shared-value slots, propagates, and counts the
-two token orientations of each residual cycle. Every solver's correctness
-gate is exact agreement with brute force.
+gives each edge one GF(2) variable, assembles the vertices' parity checks and
+one global Z4 quadratic phase, substitutes the echelon rows' pivots in order,
+and evaluates the rest as a Gauss sum; solve_M pins the shared-value slots,
+propagates, and counts the two token orientations of each residual cycle.
+Every solver's correctness gate is exact agreement with brute force.
 """
 
 from __future__ import annotations
@@ -131,22 +132,19 @@ def solve_P(grid: SignatureGrid) -> Scalar:
 
 
 def solve_A(grid: SignatureGrid) -> Scalar:
-    order = sorted(grid.vertices)
-    port_index = {}
-    for v in order:
-        for slot in range(4):
-            port_index[Port(v, slot)] = len(port_index)
-    nports = len(port_index)
+    # Edge e's variable is its bit at the first end; the second end reads it
+    # flipped, as in brute_force_eval.
+    ends = {}  # port -> (edge, flip)
+    for e, (p, q) in enumerate(grid.edges):
+        ends[p] = (e, 0)
+        ends[q] = (e, 1)
 
-    system = LinearSystemGF2(nports)
+    system = LinearSystemGF2(len(grid.edges))
     phase = QuadraticPhase()
     prefactor = ONE
 
-    for p, q in grid.edges:
-        system.add((1 << port_index[p]) | (1 << port_index[q]), 1)
-
     reports = {}  # one membership test per distinct signature
-    for v in order:
+    for v in sorted(grid.vertices):
         f = grid.vertices[v]
         report = reports.get(f)
         if report is None:
@@ -157,22 +155,25 @@ def solve_A(grid: SignatureGrid) -> Scalar:
             return ZERO
         cert = report.certificate
         support = f.support()
-        # affine support as parity checks over the 4 ports
+        port = [ends[Port(v, pos)] for pos in range(4)]
+        # affine support as parity checks over the 4 ports; XOR, so the two
+        # ends of a self-loop cancel to the constant 1
         for mask4 in range(1, 16):
             dots = {bin(mask4 & s).count("1") & 1 for s in support}
             if len(dots) == 1:
-                gmask = 0
+                gmask, rhs = 0, dots.pop()
                 for pos in range(4):
                     if (mask4 >> (3 - pos)) & 1:
-                        gmask |= 1 << port_index[Port(v, pos)]
-                system.add(gmask, dots.pop())
+                        e, flip = port[pos]
+                        gmask ^= 1 << e
+                        rhs ^= flip
+                system.add(gmask, rhs)
         prefactor = prefactor * cert.lam
-        tbits = [bit_of(cert.base, pos, 4) for pos in range(4)]
-        pvars = [port_index[Port(v, pos)] for pos in cert.pivots]
-        tvals = [tbits[pos] for pos in cert.pivots]
+        # free bit u_j = x_e xor t_j at the j-th pivot position
+        pvars = [port[pos][0] for pos in cert.pivots]
+        tvals = [bit_of(cert.base, pos, 4) ^ port[pos][1] for pos in cert.pivots]
         for j, a in enumerate(cert.linear):
-            phase.add_const(a * tvals[j])
-            phase.add_linear(pvars[j], a * (1 - 2 * tvals[j]))
+            phase.add_scaled_parity(a, tvals[j], [pvars[j]])
         for j, k, b in cert.cross:
             phase.add_const(2 * b * tvals[j] * tvals[k])
             phase.add_linear(pvars[k], 2 * b * tvals[j])
@@ -181,19 +182,7 @@ def solve_A(grid: SignatureGrid) -> Scalar:
 
     if not system.consistent:
         return ZERO
-    system.reduce()
-    if not system.consistent:
-        return ZERO
-    free = set(system.free_vars())
-    for var, (mask, rhs) in sorted(system.pivots.items()):
-        others = []
-        m = mask & ~(1 << var)
-        while m:
-            low = m & -m
-            others.append(low.bit_length() - 1)
-            m ^= low
-        phase.substitute(var, rhs, others)
-    return prefactor * gauss_sum(phase, free)
+    return prefactor * gauss_sum(phase, system.reduce(phase))
 
 
 # ---------------------------------------------------------------- M solver

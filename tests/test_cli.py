@@ -1,15 +1,27 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 BASE = [sys.executable, "-m", "sixvertex.cli"]
+# a child Python does not see pytest's pythonpath setting
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def run_cli(*args):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True)
+    return subprocess.run(
+        BASE + list(args), capture_output=True, text=True, env=CHILD_ENV
+    )
 
 
 def test_classify_hard_case2():
@@ -106,8 +118,10 @@ def test_ice_small():
 
 
 def test_ice_zero_rows():
-    r = run_cli("ice", "--n-max", "0")
-    assert r.returncode == 0 and r.stdout.strip() == ""
+    for n_max in ("0", "1"):
+        r = run_cli("ice", "--n-max", n_max)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.strip() == "input error: --n-max must be >= 2"
 
 
 def test_gadget_commands():
@@ -170,6 +184,26 @@ def test_interpolate_command(tmp_path):
         "--phi", "1", "--psi", "1", "--values", str(values),
     )
     assert r.returncode == 2  # sqrt2 outside Q(i)
+
+
+def test_torus_output_to_missing_directory_exit2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    r = run_cli("torus", "--n", "3", "--params", *["1"] * 6, "-o", str(out))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("input error:")
+    assert not out.exists()
+
+
+def test_interpolate_negative_m_exit2(tmp_path):
+    for values in ([], ["1", "2", "3"]):
+        path = tmp_path / "vals.json"
+        path.write_text(json.dumps(values))
+        r = run_cli(
+            "interpolate", "--alpha", "2", "--beta", "1/2", "--m", "-1",
+            "--phi", "1", "--psi", "1", "--values", str(path),
+        )
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.strip() == "input error: m must be >= 0"
 
 
 def test_selftest_subset():

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from test_cli import CHILD_ENV
 
 from sixvertex.gaussint import gaussian_valuations
 from sixvertex.rational import Q
@@ -86,5 +87,7 @@ def test_valuations_match_exponent_arithmetic():
 
 def test_import_leaves_sympy_unloaded():
     code = "import sys, sixvertex.cli; assert 'sympy' not in sys.modules"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert r.returncode == 0, r.stderr

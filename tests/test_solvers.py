@@ -1,8 +1,13 @@
 import random
+from math import comb
 
 import pytest
 
-from sixvertex.evaluate import TooLargeError, brute_force_eval
+from sixvertex.evaluate import (
+    TooLargeError,
+    brute_force_eval,
+    torus_transfer_matrix_value,
+)
 from sixvertex.grid import Port, SignatureGrid, build_torus
 from sixvertex.sampling import (
     random_a_params,
@@ -105,6 +110,10 @@ class TestSolveA:
             ),
         )
         assert solve_A(g) == solve_A(g2)
+        # each edge's variable reads its first end: swap the ends and reverse
+        # the edge order
+        g3 = SignatureGrid(g.vertices, tuple((b, a) for a, b in reversed(g.edges)))
+        assert solve_A(g) == solve_A(g3)
 
 
 class TestSolveM:
@@ -252,17 +261,39 @@ def test_general_product_signature_grid():
         assert solve_P(grid) == brute_force_eval(grid).value
 
 
+def two_pair_torus_value(n, a, x, b, y):
+    """Z of the n x n torus for (a, x, b, y, 0, 0):
+    sum_k C(n, k) (a^(n-k) y^k + b^(n-k) x^k)^n."""
+    return sum(
+        (a ** (n - k) * y**k + b ** (n - k) * x**k) ** n * comb(n, k)
+        for k in range(n + 1)
+    )
+
+
+def test_two_pair_closed_form_matches_transfer_matrix():
+    a, x, b, y = Scalar(-2), Scalar(0, 2), Scalar(0, 2), Scalar(2)
+    for n in (2, 3, 4):
+        assert two_pair_torus_value(n, a, x, b, y) == torus_transfer_matrix_value(
+            n, SV(a, x, b, y, 0, 0)
+        )
+
+
 def test_polynomial_scaling_smoke():
-    # 12x12 torus (288 edges) must be quick for every class solver
+    # 12x12 torus (288 edges) must be quick for every class solver, and the
+    # 64x64 A torus (8192 edges) too
     import time
 
+    a, x, b, y = Scalar(-2), Scalar(0, 2), Scalar(0, 2), Scalar(2)
     cases = (
-        (SV(2, 3, 0, 0, 0, 0), solve_P),
-        (SV(1, 1, 1, 1, 0, 0), solve_A),
-        (SV(1, 0, 1, 0, 1, 0), solve_M),
+        (12, SV(2, 3, 0, 0, 0, 0), solve_P, None),
+        (12, SV(1, 1, 1, 1, 0, 0), solve_A, None),
+        (12, SV(1, 0, 1, 0, 1, 0), solve_M, None),
+        (64, SV(a, x, b, y, 0, 0), solve_A, two_pair_torus_value(64, a, x, b, y)),
     )
-    for params, solver in cases:
-        t = build_torus(12, params)
+    for n, params, solver, want in cases:
+        t = build_torus(n, params)
         start = time.time()
-        solver(t)
+        value = solver(t)
         assert time.time() - start < 10.0
+        if want is not None:
+            assert value == want
