@@ -123,24 +123,25 @@ def cmd_ice(args) -> int:
         z = res.value
         z_float = float(approx_complex(z).real)
         w = z_float ** (1.0 / (n * n))
-        rows.append(
-            {
-                "n": n,
-                "Z": format_scalar(z),
-                "Z_float": z_float,
-                "W": w,
-                "reference": LIEB,
-                "abs_error": abs(w - LIEB),
-            }
-        )
+        row = {
+            "n": n,
+            "Z": format_scalar(z),
+            "Z_float": z_float,
+            "W": w,
+            "reference": LIEB,
+            "abs_error": abs(w - LIEB),
+        }
+        if args.json:
+            rows.append(row)
+        else:
+            # each row as soon as its torus is done, so a refusal or a kill
+            # keeps the rows before it
+            print(
+                f"n={n}: Z={row['Z']}  W={w:.7f}  |W-(4/3)^1.5|={row['abs_error']:.7f}",
+                flush=True,
+            )
     if args.json:
         print(json.dumps({"rows": rows}, indent=1))
-    else:
-        for row in rows:
-            print(
-                f"n={row['n']}: Z={row['Z']}  W={row['W']:.7f}  "
-                f"|W-(4/3)^1.5|={row['abs_error']:.7f}"
-            )
     return EXIT_OK
 
 

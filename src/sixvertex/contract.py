@@ -6,14 +6,30 @@ flip). Contraction follows a plan of pairwise merges; the default plan is a
 greedy minimum-resulting-open-indices heuristic with deterministic
 tie-breaking, so results and plans are reproducible.
 
-The merges run on integers, not on Scalar: each vertex tensor is scaled by
-the lcm D_v of its denominators, so its entries lie in Z[i, sqrt2] (plain
-ints when every table is rational), and the contracted value is divided by
-the product of the D_v once at the end. The result is the same exact Scalar.
+Every merge multiplies plain Python ints. Each vertex tensor is scaled by
+the lcm D_v of its denominators, so an entry is x0 + x1*i + (x2 + x3*i)*sqrt2
+with integer x_k, and the contracted value is divided by the product of the
+D_v once at the end. Rational tables stay exact ints (x0). Any other table
+is packed by Kronecker substitution (von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4): Q(i, sqrt2) = Q(z) for z = zeta8, with i = z^2 and
+sqrt2 = z - z^3, so the entry is sum_j c_j z^j with
+(c0, c1, c2, c3) = (x0, x2 + x3, x1, x3 - x2), and it becomes the int
+sum_j c_j 2^(jB) mod N = 2^(4B) + 1. Since 2^(4B) = -1 mod N, 2^B is a root
+of z^4 + 1 mod N, so sums and products of packed entries, reduced mod N,
+are the packed sums and products.
+
+The decoding is exact because B is large enough. For each complex embedding
+s of Q(z), |c_j(Z)| <= max_s |s(Z)| (the c_j are an average of the s(Z)
+times roots of unity), and |s(Z)| <= prod_v sum_x |c(f_v(x))|_1 (Z sums
+products of one entry per vertex, and |s(z^j)| = 1). B is chosen with
+2^(B-1) above that product, so the balanced residue of the packed Z splits
+into four signed base-2^B digits, which are its c_j; then x2 = (c1 - c3)/2
+and x3 = (c1 + c3)/2. The result is the same exact Scalar.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -97,81 +113,93 @@ def _vertex_tensor(sig, ends: dict[int, list[tuple[int, int]]]) -> _Tensor:
     return _Tensor(open_edges, {k: v for k, v in data.items() if v})
 
 
-class _ZI2:
-    """x0 + x1*i + (x2 + x3*i)*sqrt2 with integer coordinates, an element of
-    Z[i, sqrt2]; the product follows Scalar.__mul__ (sqrt2^2 = 2)."""
-
-    __slots__ = ("x0", "x1", "x2", "x3")
-
-    def __init__(self, x0, x1, x2, x3):
-        self.x0, self.x1, self.x2, self.x3 = x0, x1, x2, x3
-
-    def __add__(self, o):
-        return _ZI2(self.x0 + o.x0, self.x1 + o.x1, self.x2 + o.x2, self.x3 + o.x3)
-
-    def __mul__(self, o):
-        a, b, c, d = self.x0, self.x1, self.x2, self.x3
-        e, f, g, h = o.x0, o.x1, o.x2, o.x3
-        return _ZI2(
-            a * e - b * f + 2 * (c * g - d * h),
-            a * f + b * e + 2 * (c * h + d * g),
-            a * g - b * h + c * e - d * f,
-            a * h + b * g + c * f + d * e,
+def _remap(data: dict, dst: list[int]):
+    """Stream (x, value) over data, x being the key with its bit i moved to
+    bit dst[i]. Each byte of a key is looked up in a 256-entry table, built
+    by doubling, of the bits it moves to; the bytes' bits are disjoint, so
+    the lookups are ORed (or summed)."""
+    tables = []
+    for lo in range(0, len(dst), 8):
+        tab = [0]
+        for d in dst[lo : lo + 8]:
+            bit = 1 << d
+            tab += [x | bit for x in tab]
+        tables.append(tab)
+    if len(tables) > 4:
+        return (
+            (sum(t[k >> 8 * j & 255] for j, t in enumerate(tables)), v)
+            for k, v in data.items()
         )
+    t0, t1, t2, t3 = tables + [[0]] * (4 - len(tables))
+    return (
+        (t0[k & 255] | t1[k >> 8 & 255] | t2[k >> 16 & 255] | t3[k >> 24], v)
+        for k, v in data.items()
+    )
 
-    def __bool__(self):
-        return bool(self.x0 or self.x1 or self.x2 or self.x3)
 
-
-def _lift(t: _Tensor, rational: bool) -> int:
-    """Scale t's entries in place by D, the lcm of their denominators,
-    storing them as ints (rational tables) or _ZI2; returns D."""
-    coords = {k: s.coords for k, s in t.data.items()}
-    den = lcm(*(c[4] for c in coords.values()))
-    if rational:
-        t.data = {k: c[0] * (den // c[4]) for k, c in coords.items()}
-    else:
-        t.data = {
-            k: _ZI2(*(x * (den // c[4]) for x in c[:4])) for k, c in coords.items()
+def _lift(tensors) -> tuple[int, int, int | None]:
+    """Turn every entry into one int, in place, as the module docstring
+    describes; returns (D, B, N), N None when every table is rational."""
+    scale = bound = 1
+    for t in tensors:
+        den = lcm(*(s.coords[4] for s in t.data.values()))
+        scale *= den
+        zeta = {}
+        for k, s in t.data.items():
+            x0, x1, x2, x3, d = s.coords
+            m = den // d
+            zeta[k] = (x0 * m, (x2 + x3) * m, x1 * m, (x3 - x2) * m)
+        t.data = zeta
+        bound *= sum(abs(x) for c in zeta.values() for x in c)
+    b = bound.bit_length() + 1
+    rational = not any(c[1] or c[2] or c[3] for t in tensors for c in t.data.values())
+    mod = None if rational else (1 << 4 * b) + 1
+    for t in tensors:
+        packed = {
+            k: c0 + (c1 << b) + (c2 << 2 * b) + (c3 << 3 * b)
+            for k, (c0, c1, c2, c3) in t.data.items()
         }
-    return den
+        t.data = packed if mod is None else {k: x % mod for k, x in packed.items()}
+    return scale, b, mod
 
 
-def _merge(a: _Tensor, b: _Tensor) -> _Tensor:
+def _unpack(x: int, b: int, mod: int | None) -> tuple[int, int, int, int]:
+    """(x0, x1, x2, x3) of a contracted value packed by _lift."""
+    if mod is not None and x > mod >> 1:
+        x -= mod
+    # adding half to each digit makes them all lie in [0, 2^B)
+    half, low = 1 << (b - 1), (1 << b) - 1
+    x += sum(half << (j * b) for j in range(4))
+    c0, c1, c2, c3 = (((x >> (j * b)) & low) - half for j in range(4))
+    return c0, c2, (c1 - c3) // 2, (c1 + c3) // 2
+
+
+def _merge(a: _Tensor, b: _Tensor, mod: int | None) -> _Tensor:
+    """Contract the shared edges of a and b; entries are reduced mod `mod`
+    unless it is None. Out edges take the low key bits, shared ones the
+    bits above them. The smaller tensor is grouped by its shared bits and
+    the larger one streamed past it."""
+    if len(a.data) < len(b.data):
+        a, b = b, a
     ea, eb = set(a.edges), set(b.edges)
-    shared = sorted(ea & eb)
     out_edges = sorted(ea ^ eb)
-    apos = {e: i for i, e in enumerate(a.edges)}
-    bpos = {e: i for i, e in enumerate(b.edges)}
-    opos = {e: i for i, e in enumerate(out_edges)}
-    a_sh = [(apos[e], i) for i, e in enumerate(shared)]
-    b_sh = [(bpos[e], i) for i, e in enumerate(shared)]
-    a_out = [(apos[e], opos[e]) for e in a.edges if e not in eb]
-    b_out = [(bpos[e], opos[e]) for e in b.edges if e not in ea]
-
-    def extract(key, pairs):
-        out = 0
-        for src, dst in pairs:
-            out |= ((key >> src) & 1) << dst
-        return out
-
-    groups: dict[int, list[tuple[int, object]]] = {}
-    for key, val in b.data.items():
-        groups.setdefault(extract(key, b_sh), []).append(
-            (extract(key, b_out), val)
-        )
-    data: dict[int, object] = {}
-    for key, val in a.data.items():
-        grp = groups.get(extract(key, a_sh))
-        if not grp:
-            continue
-        oa = extract(key, a_out)
-        for ob, bval in grp:
-            k = oa | ob
-            prod = val * bval
-            cur = data.get(k)
-            data[k] = prod if cur is None else cur + prod
-    data = {k: v for k, v in data.items() if v}
+    pos = {e: i for i, e in enumerate(out_edges + sorted(ea & eb))}
+    s = len(out_edges)
+    mask = (1 << s) - 1
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for x, v in _remap(b.data, [pos[e] for e in b.edges]):
+        groups.setdefault(x >> s, []).append((x & mask, v))
+    acc: defaultdict[int, int] = defaultdict(int)
+    for x, v in _remap(a.data, [pos[e] for e in a.edges]):
+        grp = groups.get(x >> s)
+        if grp:
+            oa = x & mask
+            for ob, w in grp:
+                acc[oa | ob] += v * w
+    if mod is None:
+        data = {k: v for k, v in acc.items() if v}
+    else:
+        data = {k: r for k, v in acc.items() if (r := v % mod)}
     return _Tensor(out_edges, data)
 
 
@@ -268,14 +296,9 @@ def contract_eval(
         frozenset((v,)): _vertex_tensor(grid.vertices[v], ends)
         for v, ends in _incidence(grid).items()
     }
-    rational = all(s.is_rational() for t in live.values() for s in t.data.values())
-    scale = 1
-    for t in live.values():
-        scale *= _lift(t, rational)
+    scale, b, mod = _lift(live.values())
     for ka, kb in plan.steps:
-        live[ka | kb] = _merge(live.pop(ka), live.pop(kb))
+        live[ka | kb] = _merge(live.pop(ka), live.pop(kb), mod)
     (final,) = live.values()
-    z = final.data.get(0, 0 if rational else _ZI2(0, 0, 0, 0))
-    coords = (z, 0, 0, 0) if rational else (z.x0, z.x1, z.x2, z.x3)
-    value = Scalar.from_coords(*coords, scale)
+    value = Scalar.from_coords(*_unpack(final.data.get(0, 0), b, mod), scale)
     return EvalResult(value, "contract", {"peak_rank": peak})

@@ -19,7 +19,6 @@ __all__ = [
     "brute_force_eval",
     "eval_bipartite_equality",
     "count_eulerian_orientations",
-    "torus_transfer_matrix_value",
     "DEFAULT_EDGE_CAP",
 ]
 
@@ -126,7 +125,8 @@ def torus_transfer_matrix_value(n: int, p: SixVertexParams) -> Scalar:
     """Exact torus partition function by row transfer matrix: trace(T^n).
 
     Independent of the grid/contraction machinery. Practical for n <= 4
-    (the matrix is 2^n x 2^n); used as an oracle.
+    (the matrix is 2^n x 2^n). An oracle for the tests only, so it is not
+    exported; it stays here because perfbench's tests import it by name.
     """
     sig = from_six_vertex(p)
 

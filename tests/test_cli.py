@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -116,6 +117,39 @@ def test_ice_small():
     assert [row["n"] for row in rows] == [2, 4]
     assert rows[1]["Z"] == "2970"
 
+
+def test_ice_refusal_keeps_the_rows_before_it():
+    # the greedy plan peaks at rank 12 on the 6x6 torus
+    r = run_cli("--cap-rank", "10", "ice", "--n-max", "8")
+    assert r.returncode == 1
+    assert [line.split(":")[0] for line in r.stdout.splitlines()] == ["n=2", "n=4"]
+    assert "needs rank 12 > cap 10" in r.stderr
+
+
+def test_ice_prints_each_row_as_it_is_done():
+    # a pipe is block-buffered unless the environment says otherwise
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        BASE + ["ice", "--n-max", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(4)]
+        # unflushed rows would arrive only as the process exits; the 10x10
+        # torus takes seconds more
+        with pytest.raises(subprocess.TimeoutExpired):
+            proc.wait(timeout=1)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        watchdog.cancel()
+    assert [line.split(":")[0] for line in lines] == ["n=2", "n=4", "n=6", "n=8"]
 
 def test_ice_zero_rows():
     for n_max in ("0", "1"):

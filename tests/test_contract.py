@@ -87,6 +87,140 @@ def test_fractional_sqrt2_torus_against_transfer_matrix():
     assert contract_eval(t4).value == torus_transfer_matrix_value(4, p)
 
 
+# Gaussian, sqrt2 and negative weights run on ints packed mod 2^(4B) + 1,
+# rational ones on exact ints (FRACTIONAL_POOL above covers denominators)
+KERNEL_POOLS = {
+    "gaussian": ("0", "1", "-1", "i", "-i", "1+i", "2-3i", "-1/2i"),
+    "sqrt2": ("0", "1", "(1)r2", "-(1)r2", "(1i)r2", "1+(1)r2", "(1-1i)r2"),
+    "negative": ("0", "-1", "-2", "-3", "1", "-1-2i", "-(3+1i)r2"),
+    "rational": ("0", "1", "-1", "2", "-1/3", "5/2"),
+}
+
+
+@pytest.mark.parametrize("pool", sorted(KERNEL_POOLS))
+def test_kernel_exact_on_random_tables(pool):
+    """Seeded random grids, general and six-vertex tables, against brute
+    force; uniform port pairing makes self-loops and parallel edges."""
+    from sixvertex.signature import Signature
+
+    scalars = tuple(map(parse_scalar, KERNEL_POOLS[pool]))
+    rng = random.Random(f"kernel/{pool}")
+    loops = parallel = 0
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        if trial % 2:
+            g = random_grid(rng, n, from_six_vertex(random_params(rng, pool=scalars)))
+        else:
+            sigs = {v: Signature(4, [rng.choice(scalars) for _ in range(16)]) for v in range(n)}
+            g = random_grid(rng, n, signatures=sigs)
+        pairs = [frozenset((p.vertex, q.vertex)) for p, q in g.edges]
+        loops += any(len(pair) == 1 for pair in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        assert contract_eval(g).value == brute_force_eval(g).value, trial
+    assert loops and parallel
+
+
+def test_kernel_exact_on_a_cancelling_grid():
+    """Z is exactly 0 through cancelling merges, on the packed path."""
+    from sixvertex.signature import Signature
+
+    scalars = tuple(map(parse_scalar, ("1", "-1", "i", "(1)r2", "-(1)r2")))
+    rng = random.Random(31)
+    for _ in range(500):
+        sigs = {v: Signature(4, [rng.choice(scalars) for _ in range(16)]) for v in range(3)}
+        g = random_grid(rng, 3, signatures=sigs)
+        if not brute_force_eval(g).value:
+            break
+    else:
+        pytest.fail("no grid with Z = 0 in the sample")
+    assert contract_eval(g).value == Scalar(0)
+
+
+def test_kernel_exact_on_negative_coordinates():
+    """A grid whose Z has all four coordinates nonzero, and the same grid
+    with one table negated: between them every coordinate is negative."""
+    from sixvertex.signature import Signature
+
+    scalars = tuple(map(parse_scalar, ("1", "-2", "3i", "(1)r2", "1-(5i)r2")))
+    rng = random.Random(32)
+    for _ in range(200):
+        sigs = {v: Signature(4, [rng.choice(scalars) for _ in range(16)]) for v in range(3)}
+        g = random_grid(rng, 3, signatures=sigs)
+        z = brute_force_eval(g).value
+        if all(z.coords[:4]):
+            break
+    else:
+        pytest.fail("no grid with four nonzero coordinates in the sample")
+    negated = dict(g.vertices)
+    negated[0] = Signature(4, [-x for x in g.vertices[0].values])
+    neg = SignatureGrid(negated, g.edges)
+    assert contract_eval(g).value == z
+    assert contract_eval(neg).value == -z
+
+
+def test_kernel_digits_near_the_bound_on_a_4x4_torus(monkeypatch):
+    """Six weights with large zeta8 coefficients: the decoded digits use all
+    but a few of their B - 1 bits, and Z equals the transfer matrix's."""
+    from sixvertex.evaluate import torus_transfer_matrix_value
+
+    weights = (
+        "123456789-987654321i+(-55555+77777i)r2",
+        "-99999999+(31415926-27182818i)r2",
+        "(-424242424242+1i)r2",
+        "-7777777i+(1/3)r2",
+        "5/7-(100000000i)r2",
+        "-1+2i-(3-4i)r2",
+    )
+    p = SV(*map(parse_scalar, weights))
+    seen = []
+    unpack = contract._unpack
+
+    def spy(x, b, mod):
+        x0, x1, x2, x3 = unpack(x, b, mod)
+        seen.append((b, max(abs(c).bit_length() for c in (x0, x2 + x3, x1, x3 - x2))))
+        return x0, x1, x2, x3
+
+    monkeypatch.setattr(contract, "_unpack", spy)
+    assert contract_eval(build_torus(4, p)).value == torus_transfer_matrix_value(4, p)
+    ((b, bits),) = seen
+    assert b - 16 <= bits < b
+
+
+def test_unpack_at_the_digit_limits():
+    """Digits of +-(2^(B-1) - 1) and 0 survive packing mod 2^(4B) + 1, and
+    exact ints (N None) decode the same way."""
+    b = 9
+    mod = (1 << 4 * b) + 1
+    top = (1 << (b - 1)) - 1
+    for c0 in (-top, 0, top):
+        for c2 in (-top, top):
+            for c1, c3 in ((top, -top), (-top, top), (top - 1, 0), (-top, -top)):
+                x = c0 + (c1 << b) + (c2 << 2 * b) + (c3 << 3 * b)
+                want = (c0, c2, (c1 - c3) // 2, (c1 + c3) // 2)
+                assert contract._unpack(x % mod, b, mod) == want
+                assert contract._unpack(x, b, None) == want
+
+
+def bit_loop(key, dst):
+    out = 0
+    for src, d in enumerate(dst):
+        out |= ((key >> src) & 1) << d
+    return out
+
+
+def test_remap_matches_a_bit_loop():
+    rng = random.Random(33)
+    assert list(contract._remap({0: "z"}, [])) == [(0, "z")]  # rank 0
+    for rank in list(range(1, 33)) + [33, 40]:  # up to four tables, then more
+        dst = rng.sample(range(rank + rng.randint(0, 8)), rank)
+        keys = {rng.getrandbits(rank) for _ in range(50)} | {0, (1 << rank) - 1}
+        if rank > 24:
+            keys |= {1 << 24, (1 << rank) - (1 << 24)}
+        data = {k: i for i, k in enumerate(keys)}
+        want = [(bit_loop(k, dst), v) for k, v in data.items()]
+        assert list(contract._remap(data, dst)) == want, rank
+
+
 def test_ice_torus_8_exact():
     res = contract_eval(build_torus(8, ICE))
     assert res.value == Scalar(2901094068042)
