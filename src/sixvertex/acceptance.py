@@ -21,7 +21,6 @@ from .evaluate import (
 from .gadgets import (
     chain_D,
     closed_form_D,
-    equation_matrix_determinant,
     hardness_determinant,
     lambda_matrix,
     mnm_product,
@@ -216,8 +215,6 @@ def criterion_5_gadget_identities(rng: random.Random):
             for z in dom:
                 if not hardness_determinant(x, y, z):
                     return False, f"determinant zero at {(x, y, z)}"
-                if not equation_matrix_determinant(x, y, z):
-                    return False, f"literal 3x3 determinant zero at {(x, y, z)}"
     return True, "chains, pair products, Lambda collapse, 27 determinants"
 
 

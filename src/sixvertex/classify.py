@@ -6,6 +6,11 @@ Hard cases: 1 = some pair entirely zero, 2 = all six values nonzero,
 3 = exactly one zero, 4 = exactly two zeros from distinct pairs. Case 1 takes
 precedence in labeling; tractable verdicts are checked first in the order
 P, A, M.
+
+in_A shifts the support by its least string; the support is affine iff the
+shifted set is closed under XOR. The certificate's basis is that subspace's
+reduced echelon basis, read off without elimination: the row with pivot bit
+p is the least element whose highest bit is p.
 """
 
 from __future__ import annotations
@@ -212,30 +217,6 @@ def reconstruct_from_p(report: PReport, arity: int) -> Signature:
     return Signature(arity, values)
 
 
-def _gf2_rref(vectors):
-    """Reduced basis, pivots in lexicographic variable order (x1 first =
-    highest bit first)."""
-    basis: list[int] = []
-    for v in vectors:
-        cur = v
-        for b in basis:
-            if cur ^ b < cur:
-                cur ^= b
-        if cur:
-            basis.append(cur)
-            basis.sort(reverse=True)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                if i != j and basis[i] ^ basis[j] < basis[i]:
-                    basis[i] ^= basis[j]
-                    changed = True
-        basis.sort(reverse=True)
-    return basis
-
-
 def in_A(f: Signature) -> AReport:
     """Affine support with values lam * i^(quadratic with even cross terms)."""
     if f.arity > 4:
@@ -246,17 +227,19 @@ def in_A(f: Signature) -> AReport:
     n = len(support)
     if n & (n - 1):
         return AReport(False, None, reason="support size not a power of 2")
-    sset = set(support)
-    for x in support:
-        for y in support:
-            for z in support:
-                if x ^ y ^ z not in sset:
-                    return AReport(False, None, reason="support not affine")
     base = min(support)
-    basis = _gf2_rref([s ^ base for s in support])
-    d = len(basis)
-    if (1 << d) != n:
+    shifted = {s ^ base for s in support}
+    if any(x ^ y not in shifted for x in shifted for y in shifted):
         return AReport(False, None, reason="support not affine")
+    # shifted is a subspace; its reduced echelon row with pivot bit p is the
+    # least element whose highest bit is p (any other such element is that
+    # row plus lower rows, and so sets a lower pivot bit the row lacks)
+    rows = {}
+    for s in sorted(shifted):
+        rows.setdefault(s.bit_length(), s)
+    rows.pop(0)
+    basis = sorted(rows.values(), reverse=True)
+    d = len(basis)
     pivots = tuple(f.arity - 1 - (b.bit_length() - 1) for b in basis)
     lam = f[base]
     exps = {}

@@ -40,7 +40,7 @@ from .scalar import (
     parse_scalar,
 )
 from .signature import SixVertexParams, six_vertex_params
-from .solvers import SolverError, solve
+from .solvers import METHODS, SolverError, solve
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument(
         "--method",
-        choices=("auto", "brute", "contract", "p", "a", "m"),
+        choices=METHODS,
         default="auto",
     )
     p.set_defaults(fn=cmd_eval)

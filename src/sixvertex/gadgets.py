@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .evaluate import TooLargeError
-from .scalar import ONE, Scalar, ZERO, as_scalar
+from .scalar import Scalar, ZERO, as_scalar
 from .signature import (
     Signature,
     SixVertexParams,
@@ -33,7 +33,6 @@ __all__ = [
     "mnm_product",
     "mnm_product_signature",
     "hardness_determinant",
-    "equation_matrix_determinant",
     "one_zero_chain",
     "OneZeroChain",
     "two_zero_product",
@@ -130,17 +129,6 @@ def hardness_determinant(alpha, beta, gamma) -> Scalar:
         if v not in _DET_DOMAIN:
             raise GadgetError(f"argument {v} outside {{0, i, -i}}")
     return alpha * beta * gamma - 2 - alpha - beta - gamma
-
-
-def equation_matrix_determinant(alpha, beta, gamma) -> Scalar:
-    """Literal det [[alpha,1,1],[1,beta,1],[1,1,gamma]] (expands to
-    alpha*beta*gamma + 2 - alpha - beta - gamma)."""
-    alpha, beta, gamma = (as_scalar(v) for v in (alpha, beta, gamma))
-    return (
-        alpha * (beta * gamma - ONE)
-        - (gamma - ONE)
-        + (ONE - beta)
-    )
 
 
 # ------------------------------------------- one zero / two zeros chains

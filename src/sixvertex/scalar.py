@@ -299,6 +299,13 @@ def format_scalar(s: Scalar) -> str:
     return head
 
 
+def _parse_rat(token: str, where: str):
+    try:
+        return parse_rat(token)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {where!r}") from None
+
+
 def _parse_complex_terms(text: str, where: str):
     """Parse a sum of <rat> and <rat>i terms; returns (re, im)."""
     re_part, im_part = _Q0, _Q0
@@ -313,7 +320,7 @@ def _parse_complex_terms(text: str, where: str):
             i += 1
         m = _RAT_RE.match(text, i)
         if m:
-            val = parse_rat(m.group(0))
+            val = _parse_rat(m.group(0), where)
             i = m.end()
             if i < n and text[i] == "i":
                 i += 1
@@ -354,7 +361,7 @@ def parse_scalar(text: str) -> Scalar:
             continue
         m = _RAT_RE.match(s, i)
         if m:
-            val = parse_rat(m.group(0))
+            val = _parse_rat(m.group(0), text)
             i = m.end()
             if s[i : i + 2] == "r2":
                 re1 += sign * val

@@ -6,6 +6,10 @@ gives each edge one GF(2) variable, assembles the vertices' parity checks and
 one global Z4 quadratic phase, substitutes the echelon rows' pivots in order,
 and evaluates the rest as a Gauss sum; solve_M pins the shared-value slots,
 propagates, and counts the two token orientations of each residual cycle.
+Each solver tests every distinct signature once for membership in its class,
+in vertex order, and raises SolverError at the first vertex outside it.
+solve(auto) tries solve_P, solve_A and solve_M in that order, moves on when
+one raises SolverError, and then falls back to brute force or refuses.
 Every solver's correctness gate is exact agreement with brute force.
 """
 
@@ -29,6 +33,7 @@ __all__ = [
     "solve_A",
     "solve_M",
     "solve",
+    "METHODS",
 ]
 
 
@@ -39,6 +44,25 @@ class SolverError(ValueError):
 class MixedChiralityError(SolverError):
     """Adjacent one-zero-per-pair vertices pin opposite shared values; the
     residual counting is matching-hard, so no polynomial path exists."""
+
+
+def _class_reports(grid: SignatureGrid, test, refusal, member=None):
+    """test(f) once per distinct signature, keyed by signature.
+
+    The signatures are met in vertex order; SolverError names the first
+    vertex whose report fails member (default: its .member flag). None means
+    every vertex passed but some signature is zero, so the sum is 0.
+    """
+    reports = {}
+    for v in sorted(grid.vertices):
+        f = grid.vertices[v]
+        if f not in reports:
+            report = reports[f] = test(f)
+            if not (report.member if member is None else member(report)):
+                raise SolverError(f"vertex {v} {refusal}")
+    if any(f.is_zero() for f in reports):
+        return None
+    return reports
 
 
 def _partner_map(grid: SignatureGrid):
@@ -53,19 +77,13 @@ def _partner_map(grid: SignatureGrid):
 
 
 def solve_P(grid: SignatureGrid) -> Scalar:
+    reports = _class_reports(grid, in_P, "is not in the product class")
+    if reports is None:
+        return ZERO
     blocks = []  # (ports, strings, values)
     port_block: dict[Port, tuple[int, int]] = {}  # port -> (block, local pos)
-    reports = {}  # one membership test per distinct signature
     for v in sorted(grid.vertices):
-        f = grid.vertices[v]
-        report = reports.get(f)
-        if report is None:
-            report = reports[f] = in_P(f)
-        if not report.member:
-            raise SolverError(f"vertex {v} is not in the product class")
-        if report.is_zero:
-            return ZERO
-        for factor in report.factors:
+        for factor in reports[grid.vertices[v]].factors:
             bid = len(blocks)
             for i, pos in enumerate(factor.var_positions):
                 port_block[Port(v, pos)] = (bid, i)
@@ -132,6 +150,9 @@ def solve_P(grid: SignatureGrid) -> Scalar:
 
 
 def solve_A(grid: SignatureGrid) -> Scalar:
+    reports = _class_reports(grid, in_A, "is not in the affine class")
+    if reports is None:
+        return ZERO
     # Edge e's variable is its bit at the first end; the second end reads it
     # flipped, as in brute_force_eval.
     ends = {}  # port -> (edge, flip)
@@ -142,18 +163,9 @@ def solve_A(grid: SignatureGrid) -> Scalar:
     system = LinearSystemGF2(len(grid.edges))
     phase = QuadraticPhase()
     prefactor = ONE
-
-    reports = {}  # one membership test per distinct signature
     for v in sorted(grid.vertices):
         f = grid.vertices[v]
-        report = reports.get(f)
-        if report is None:
-            report = reports[f] = in_A(f)
-        if not report.member:
-            raise SolverError(f"vertex {v} is not in the affine class")
-        if report.is_zero:
-            return ZERO
-        cert = report.certificate
+        cert = reports[f].certificate
         support = f.support()
         port = [ends[Port(v, pos)] for pos in range(4)]
         # affine support as parity checks over the 4 ports; XOR, so the two
@@ -188,18 +200,19 @@ def solve_A(grid: SignatureGrid) -> Scalar:
 # ---------------------------------------------------------------- M solver
 
 
-def _m_vertex_shape(v, f):
-    """(pinned slot, pinned value, token weights per slot) or SolverError."""
+def _m_pins(f):
+    """The (slot, value) pairs every support string of f shares, or None
+    when f does not have a zero in each pair."""
     params = six_vertex_params(f)
     if params is None or not one_zero_each_pair(params):
-        raise SolverError(f"vertex {v} does not have a zero in each pair")
+        return None
     support = f.support()
-    types = []
+    pins = []
     for pos in range(4):
         bits = {bit_of(s, pos, 4) for s in support}
         if len(bits) == 1:
-            types.append((pos, bits.pop()))
-    return types
+            pins.append((pos, bits.pop()))
+    return pins
 
 
 def _m_token_weights(f, pin_slot, pin_val):
@@ -215,31 +228,30 @@ def _m_token_weights(f, pin_slot, pin_val):
 
 
 def solve_M(grid: SignatureGrid) -> Scalar:
-    if not grid.vertices:
-        return ONE
-    for v, f in grid.vertices.items():
-        if f.is_zero():
-            return ZERO
-    shapes = {v: _m_vertex_shape(v, f) for v, f in grid.vertices.items()}
+    reports = _class_reports(
+        grid, _m_pins, "does not have a zero in each pair",
+        member=lambda pins: pins is not None,
+    )
+    if reports is None:
+        return ZERO
+    # pin the same value at every vertex if the signatures allow it, else
+    # 0 wherever a signature allows it
     for val in (0, 1):
-        if all(any(t[1] == val for t in ts) for ts in shapes.values()):
-            chosen = {
-                v: next(t for t in ts if t[1] == val)
-                for v, ts in shapes.items()
+        if all(any(t[1] == val for t in ts) for ts in reports.values()):
+            pin = {
+                f: next(t for t in ts if t[1] == val)
+                for f, ts in reports.items()
             }
             break
     else:
-        chosen = {
-            v: (ts[0] if not any(t[1] == 0 for t in ts)
-                else next(t for t in ts if t[1] == 0))
-            for v, ts in shapes.items()
+        pin = {
+            f: next((t for t in ts if t[1] == 0), ts[0])
+            for f, ts in reports.items()
         }
-    pin_slot = {v: t[0] for v, t in chosen.items()}
-    pin_val = {v: t[1] for v, t in chosen.items()}
-    weights = {
-        v: _m_token_weights(grid.vertices[v], pin_slot[v], pin_val[v])
-        for v in grid.vertices
-    }
+    sig_weights = {f: _m_token_weights(f, *t) for f, t in pin.items()}
+    pin_slot = {v: pin[f][0] for v, f in grid.vertices.items()}
+    pin_val = {v: pin[f][1] for v, f in grid.vertices.items()}
+    weights = {v: sig_weights[f] for v, f in grid.vertices.items()}
 
     partner = _partner_map(grid)
     values: dict[Port, int] = {}
@@ -334,6 +346,12 @@ def solve_M(grid: SignatureGrid) -> Scalar:
 # --------------------------------------------------------------- dispatch
 
 
+# class method name -> class label; auto tries them in this order, the
+# paper's P, A, M, and falls back to brute force
+_CLASS_METHODS = {"p": "P", "a": "A", "m": "M"}
+METHODS = ("auto", "brute", "contract", *_CLASS_METHODS)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     value: Scalar
@@ -353,32 +371,21 @@ def solve(
         return SolveResult(brute_force_eval(grid, edge_cap).value, "brute")
     if method == "contract":
         return SolveResult(contract_eval(grid, rank_cap=rank_cap).value, "contract")
-    if method == "p":
-        return SolveResult(solve_P(grid), "P")
-    if method == "a":
-        return SolveResult(solve_A(grid), "A")
-    if method == "m":
-        return SolveResult(solve_M(grid), "M")
-    if method != "auto":
+    if method == "auto":
+        tried = tuple(_CLASS_METHODS)
+    elif method in _CLASS_METHODS:
+        tried = (method,)
+    else:
         raise ValueError(f"unknown method {method!r}")
-
-    distinct = {}
-    for f in grid.vertices.values():
-        distinct[f] = None
-    sigs = list(distinct)
-    if all(in_P(f).member for f in sigs):
-        return SolveResult(solve_P(grid), "P")
-    if all(in_A(f).member for f in sigs):
-        return SolveResult(solve_A(grid), "A")
-    m_ok = all(
-        (p := six_vertex_params(f)) is not None and one_zero_each_pair(p)
-        for f in sigs
-    )
-    if m_ok:
+    for name in tried:
+        label = _CLASS_METHODS[name]
+        # looked up now, not at import, so a rebound solve_X is the one used
+        solver = globals()["solve_" + label]
         try:
-            return SolveResult(solve_M(grid), "M")
-        except MixedChiralityError:
-            pass
+            return SolveResult(solver(grid), label)
+        except SolverError:
+            if method != "auto":
+                raise
     if len(grid.edges) <= edge_cap:
         return SolveResult(brute_force_eval(grid, edge_cap).value, "brute")
     raise TooLargeError(

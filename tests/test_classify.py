@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from sixvertex.classify import (
+    ACertificate,
     classify,
     in_A,
     in_P,
@@ -12,7 +14,7 @@ from sixvertex.classify import (
     zero_pattern,
 )
 from sixvertex.sampling import SCALAR_POOL, random_a_params, random_p_params
-from sixvertex.scalar import I, Scalar, ZERO
+from sixvertex.scalar import I, I_POWERS, Scalar, ZERO, ratio_power_of_i
 from sixvertex.signature import (
     Signature,
     SignatureError,
@@ -116,6 +118,106 @@ class TestInA:
             values[s] = Scalar(1)
         report = in_A(Signature(4, values))
         assert not report.member
+
+
+def reference_rref(vectors):
+    """Reduced echelon basis by elimination, pivots highest bit first."""
+    basis: list[int] = []
+    for v in vectors:
+        cur = v
+        for b in basis:
+            if cur ^ b < cur:
+                cur ^= b
+        if cur:
+            basis.append(cur)
+            basis.sort(reverse=True)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                if i != j and basis[i] ^ basis[j] < basis[i]:
+                    basis[i] ^= basis[j]
+                    changed = True
+        basis.sort(reverse=True)
+    return basis
+
+
+def reference_certificate(f):
+    support = f.support()
+    base = min(support)
+    basis = reference_rref([s ^ base for s in support])
+    lam = f[base]
+    linear = tuple(ratio_power_of_i(f[base ^ b], lam) for b in basis)
+    cross = tuple(
+        (j, k, (ratio_power_of_i(f[base ^ bj ^ bk], lam) - linear[j] - linear[k]) % 4 // 2)
+        for (j, bj), (k, bk) in combinations(enumerate(basis), 2)
+    )
+    pivots = tuple(f.arity - b.bit_length() for b in basis)
+    return ACertificate(base, tuple(basis), pivots, lam, linear, cross)
+
+
+def span(vectors):
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return frozenset(out)
+
+
+def affine_supports(arity):
+    """Every coset of every subspace of GF(2)^arity."""
+    nonzero = range(1, 1 << arity)
+    spaces = {span(c) for r in range(arity + 1) for c in combinations(nonzero, r)}
+    return {
+        frozenset(t ^ x for x in space)
+        for space in spaces
+        for t in range(1 << arity)
+    }
+
+
+class TestInABasis:
+    def test_certificate_matches_reference_rref(self):
+        rng = random.Random(71)
+        for arity in range(5):
+            supports = affine_supports(arity)
+            assert len(supports) == (1, 3, 11, 51, 307)[arity]
+            for support in supports:
+                base = min(support)
+                # a random basis of the shifted support, and a random
+                # quadratic phase with even cross terms over it
+                gens = []
+                for x in rng.sample(sorted(support), len(support)):
+                    if len(span(gens + [x ^ base])) > len(span(gens)):
+                        gens.append(x ^ base)
+                lam = rng.choice((Scalar(1), Scalar(-2), Scalar("1/2"), I))
+                a = [rng.randrange(4) for _ in gens]
+                b = {jk: rng.randrange(2) for jk in combinations(range(len(gens)), 2)}
+                values = [ZERO] * (1 << arity)
+                for u in range(1 << len(gens)):
+                    bits = [(u >> j) & 1 for j in range(len(gens))]
+                    s = base
+                    for g, bit in zip(gens, bits):
+                        s ^= g * bit
+                    e = sum(aj * bit for aj, bit in zip(a, bits))
+                    e += 2 * sum(bjk for (j, k), bjk in b.items() if bits[j] and bits[k])
+                    values[s] = lam * I_POWERS[e % 4]
+                f = Signature(arity, values)
+                report = in_A(f)
+                assert report.member, (arity, sorted(support))
+                assert report.certificate == reference_certificate(f)
+
+    def test_non_affine_supports_rejected_with_reason(self):
+        one = Scalar(1)
+        for arity in range(5):
+            affine = {sum(1 << s for s in a) for a in affine_supports(arity)}
+            for mask in range(1, 1 << (1 << arity)):
+                if mask in affine:
+                    continue
+                values = [one if (mask >> s) & 1 else ZERO for s in range(1 << arity)]
+                report = in_A(Signature(arity, values))
+                n = mask.bit_count()
+                want = "support size not a power of 2" if n & (n - 1) else "support not affine"
+                assert not report.member and report.reason == want, bin(mask)
 
 
 def test_one_zero_each_pair():

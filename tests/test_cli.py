@@ -43,9 +43,33 @@ def test_classify_zero_params():
     assert payload["verdict"] == "tractable" and payload["class"] == "P"
 
 
+def assert_input_error(r):
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("input error:") and "Traceback" not in r.stderr
+
+
 def test_classify_bad_scalar_exit2():
-    r = run_cli("classify", "2", "2", "1", "1", "1", "oops")
-    assert r.returncode == 2
+    # a zero denominator is bad input too, also inside a sqrt2 term
+    for bad in ("oops", "1/0", "0/0i", "(1/0)r2"):
+        assert_input_error(run_cli("classify", "2", "2", "1", "1", "1", bad))
+
+
+def test_zero_denominator_in_other_commands_exit2(tmp_path):
+    grid = tmp_path / "bad.json"
+    grid.write_text(json.dumps({
+        "vertices": [
+            {"id": 0, "signature": {"six_vertex": ["1", "1", "1", "1", "1", "1/0"]}}
+        ],
+        "edges": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+    }))
+    assert_input_error(run_cli("eval", str(grid)))
+    assert_input_error(run_cli("gadget", "mnm", "--params", "1", "1", "1", "1", "1", "1/0"))
+    values = tmp_path / "values.json"
+    values.write_text('["1"]')
+    assert_input_error(run_cli(
+        "interpolate", "--alpha", "1/0", "--beta", "1", "--m", "1",
+        "--phi", "1", "--psi", "1", "--values", str(values),
+    ))
 
 
 def test_torus_eval_round_trip(tmp_path):

@@ -7,7 +7,6 @@ from sixvertex.gadgets import (
     GadgetError,
     chain_D,
     closed_form_D,
-    equation_matrix_determinant,
     hardness_determinant,
     lambda_matrix,
     mnm_product,
@@ -94,16 +93,10 @@ class TestHardnessDeterminant:
     def test_all_27_nonzero(self):
         for a, b, c in product(self.DOMAIN, repeat=3):
             assert hardness_determinant(a, b, c)
-            assert equation_matrix_determinant(a, b, c)
 
     def test_rejects_outside_domain(self):
         with pytest.raises(GadgetError):
             hardness_determinant(Scalar(1), ZERO, ZERO)
-
-    def test_formulas_differ_only_in_constant_sign(self):
-        for a, b, c in product(self.DOMAIN, repeat=3):
-            diff = equation_matrix_determinant(a, b, c) - hardness_determinant(a, b, c)
-            assert diff == Scalar(4)
 
 
 class TestOneZeroChain:

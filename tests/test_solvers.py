@@ -196,20 +196,100 @@ class TestDispatch:
         assert r.value == brute_force_eval(build_torus(2, p)).value
 
     @pytest.mark.parametrize(
-        "params,label", [((1, 1, 1, 1, 0, 0), "P"), ((1, 1, 1, -1, 0, 0), "A")]
+        "params,label",
+        [
+            ((1, 1, 1, 1, 0, 0), "P"),
+            ((1, 1, 1, -1, 0, 0), "A"),
+            ((1, 0, 1, 0, 1, 0), "M"),
+            ((1, 1, 1, 1, 1, 1), "refused"),
+        ],
     )
     def test_membership_once_per_signature(self, monkeypatch, params, label):
         import sixvertex.solvers as solvers
 
-        calls = {"in_P": 0, "in_A": 0}
+        calls = {"in_P": 0, "in_A": 0, "_m_pins": 0}
         for name in calls:
             def counted(f, real=getattr(solvers, name), name=name):
                 calls[name] += 1
                 return real(f)
 
             monkeypatch.setattr(solvers, name, counted)
-        assert solve(build_torus(6, SV(*params))).class_used == label
-        assert calls["in_P"] <= 2 and calls["in_A"] <= 2, calls
+        grid = build_torus(6, SV(*params))
+        if label == "refused":
+            with pytest.raises(TooLargeError):
+                solve(grid)
+        else:
+            assert solve(grid).class_used == label
+        want = {
+            "in_P": 1,
+            "in_A": 0 if label == "P" else 1,
+            "_m_pins": 1 if label in ("M", "refused") else 0,
+        }
+        assert calls == want
+
+    def test_zero_vertex_does_not_make_a_hard_grid_tractable(self):
+        zero = from_six_vertex(SV(0, 0, 0, 0, 0, 0))
+        ice = from_six_vertex(SV(1, 1, 1, 1, 1, 1))
+        small = random_grid(random.Random(3), 2, signatures={0: zero, 1: ice})
+        r = solve(small)
+        assert r.class_used == "brute" and r.value == ZERO
+        torus = build_torus(6, SV(1, 1, 1, 1, 1, 1))
+        large = SignatureGrid({**torus.vertices, 0: zero}, torus.edges)
+        with pytest.raises(TooLargeError):
+            solve(large)
+
+    def test_zero_vertex_among_product_vertices(self):
+        torus = build_torus(6, SV(2, 3, 0, 0, 0, 0))
+        zero = from_six_vertex(SV(0, 0, 0, 0, 0, 0))
+        r = solve(SignatureGrid({**torus.vertices, 7: zero}, torus.edges))
+        assert r.class_used == "P" and r.value == ZERO
+
+    def test_auto_matches_the_membership_rule(self):
+        """solve(auto) picks what checking every signature first picks: all
+        in P, else all in A, else all with a zero in each pair (unless the
+        pins are of mixed chirality), else brute force."""
+        from sixvertex.classify import in_A, in_P, one_zero_each_pair
+        from sixvertex.sampling import random_params
+        from sixvertex.signature import six_vertex_params
+
+        def reference(grid):
+            sigs = set(grid.vertices.values())
+            if all(in_P(f).member for f in sigs):
+                return "P"
+            if all(in_A(f).member for f in sigs):
+                return "A"
+            if all(
+                (p := six_vertex_params(f)) is not None and one_zero_each_pair(p)
+                for f in sigs
+            ):
+                try:
+                    solve_M(grid)
+                    return "M"
+                except MixedChiralityError:
+                    pass
+            return "brute"
+
+        kinds = {
+            "P": random_p_params,
+            "A": random_a_params,
+            "M": random_m_params,
+            "hard": random_params,
+            "zero": lambda rng: SV(0, 0, 0, 0, 0, 0),
+        }
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(150):
+            mix = rng.sample(sorted(kinds), rng.randint(1, 2))
+            n = rng.randint(1, 5)
+            sigs = {
+                v: from_six_vertex(kinds[rng.choice(mix)](rng)) for v in range(n)
+            }
+            grid = random_grid(rng, n, signatures=sigs)
+            r = solve(grid)
+            assert r.class_used == reference(grid), sigs
+            assert r.value == brute_force_eval(grid).value
+            seen.add(r.class_used)
+        assert seen == {"P", "A", "M", "brute"}
 
     def test_forced_method(self):
         t = build_torus(2, SV(1, 0, 1, 0, 1, 0))
