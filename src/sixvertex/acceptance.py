@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .classify import classify, in_A, in_P, reconstruct_from_a, reconstruct_from_p
 from .contract import contract_eval, sequential_plan
@@ -37,7 +38,6 @@ from .interpolate import (
     interpolation_solve,
     make_observations,
 )
-from .rational import Q
 from .sampling import (
     NONZERO_POOL,
     SCALAR_POOL,
@@ -241,8 +241,8 @@ def criterion_6_interpolation(rng: random.Random):
         ((3, 1), (1, 3), 1, (1, 1)),
     ]
     for (an, ad), (bn, bd), want_rank, want_gen in cases:
-        alpha = Scalar(Q(an, ad))
-        beta = Scalar(Q(bn, bd))
+        alpha = Scalar(Fraction(an, ad))
+        beta = Scalar(Fraction(bn, bd))
         lat = compute_lattice(alpha, beta)
         if lat.rank != want_rank or (want_gen and lat.generator != want_gen):
             return False, f"lattice({alpha},{beta}) = {lat}"
@@ -257,7 +257,7 @@ def criterion_6_interpolation(rng: random.Random):
             if want_rank == 0:
                 phi, psi = Scalar(5), Scalar(7)
             else:
-                phi, psi = Scalar(3), Scalar(Q(1, 3))
+                phi, psi = Scalar(3), Scalar(Fraction(1, 3))
             want = ZERO
             for (j, k), xv in x.items():
                 want = want + phi**j * psi**k * xv

@@ -2,7 +2,12 @@
 interpolation, the ice experiment, and the acceptance selftest.
 
 Exit codes: 0 success, 1 computational refusal (resource caps), 2 input
-error. Exact scalar strings are always printed next to float approximations.
+error. The commands raise and main alone maps: TooLargeError (which covers
+ContractionCapError) to "refused: ..." and exit 1, the INPUT_ERRORS classes
+to "input error: ..." and exit 2. Every scalar is text read by parse_scalar:
+the command-line arguments, and in grid and --values files JSON strings,
+never JSON numbers. Exact scalar strings are always printed next to float
+approximations.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import sys
 
 from .acceptance import CRITERIA, LIEB, run_acceptance
 from .classify import classify
-from .contract import DEFAULT_RANK_CAP, ContractionCapError, contract_eval
+from .contract import DEFAULT_RANK_CAP, contract_eval
 from .evaluate import DEFAULT_EDGE_CAP, TooLargeError
 from .gadgets import (
     GadgetError,
@@ -51,13 +56,26 @@ class InputError(Exception):
     pass
 
 
+# The one exit-code table: main reports these as "input error: ..." with
+# exit 2, and TooLargeError (ContractionCapError too) as "refused: ..." with
+# exit 1. Anything else is a bug and keeps its traceback.
+INPUT_ERRORS = (
+    InputError,
+    OSError,
+    json.JSONDecodeError,
+    GridError,
+    ScalarParseError,
+    SolverError,
+    GadgetError,
+    LatticeError,
+    InterpolationError,
+)
+
+
 def _parse_params(values) -> SixVertexParams:
     if len(values) != 6:
         raise InputError("need exactly 6 scalars (a x b y c z)")
-    try:
-        return SixVertexParams(*(parse_scalar(v) for v in values))
-    except ScalarParseError as exc:
-        raise InputError(str(exc)) from exc
+    return SixVertexParams(*(parse_scalar(v) for v in values))
 
 
 def _value_report(value: Scalar, precision: int) -> dict:
@@ -77,25 +95,14 @@ def _emit(payload: dict, as_json: bool):
 
 
 def cmd_eval(args) -> int:
-    try:
-        grid = load_grid(args.grid)
-        grid.assert_valid()
-    except (OSError, json.JSONDecodeError, GridError, ScalarParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        result = solve(
-            grid,
-            method=args.method,
-            edge_cap=args.cap_edges,
-            rank_cap=args.cap_rank,
-        )
-    except (TooLargeError, ContractionCapError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except SolverError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    grid = load_grid(args.grid)
+    grid.assert_valid()
+    result = solve(
+        grid,
+        method=args.method,
+        edge_cap=args.cap_edges,
+        rank_cap=args.cap_rank,
+    )
     payload = _value_report(result.value, args.precision)
     payload["class_used"] = result.class_used
     _emit(payload, args.json)
@@ -114,13 +121,7 @@ def cmd_ice(args) -> int:
     ice = SixVertexParams.of(1, 1, 1, 1, 1, 1)
     rows = []
     for n in range(2, args.n_max + 1, 2):
-        torus = build_torus(n, ice)
-        try:
-            res = contract_eval(torus, rank_cap=args.cap_rank)
-        except ContractionCapError as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return EXIT_REFUSED
-        z = res.value
+        z = contract_eval(build_torus(n, ice), rank_cap=args.cap_rank).value
         z_float = float(approx_complex(z).real)
         w = z_float ** (1.0 / (n * n))
         row = {
@@ -167,18 +168,9 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_torus(args) -> int:
-    p = _parse_params(args.params)
-    try:
-        grid = build_torus(args.n, p)
-    except GridError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    grid = build_torus(args.n, _parse_params(args.params))
     if args.output:
-        try:
-            save_grid(grid, args.output)
-        except OSError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        save_grid(grid, args.output)
         print(f"wrote {args.output} ({len(grid.vertices)} vertices, {len(grid.edges)} edges)")
     else:
         print(json.dumps(grid_to_json(grid), indent=1))
@@ -201,62 +193,51 @@ def cmd_gadget(args) -> int:
         _emit({"all_nonzero": ok, "rows": rows if args.json else len(rows)}, args.json)
         return EXIT_OK
     p = _parse_params(args.params)
-    try:
-        if kind == "chain":
-            sig = chain_D(p, args.s)
-            closed = closed_form_D(p.a, p.b, p.c, args.s)
-            payload = {
-                "s": args.s,
-                "chain": [format_scalar(v) for v in six_vertex_params(sig)],
-                "closed_form": [format_scalar(v) for v in six_vertex_params(closed)],
-                "equal": sig == closed,
-            }
-        elif kind == "mnm":
-            payload = {
-                "result": [format_scalar(v) for v in mnm_product(p)],
-            }
-        elif kind == "one-zero":
-            res = one_zero_chain(p)
-            payload = {
-                "normalized": [format_scalar(v) for v in res.normalized],
-                "branch": res.branch,
-                "steps": [
-                    {"label": label, "params": [format_scalar(v) for v in q]}
-                    for label, q in res.steps
-                ],
-            }
-        else:  # two-zero
-            payload = {
-                "result": [format_scalar(v) for v in two_zero_product(p)],
-            }
-    except GadgetError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TooLargeError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    if kind == "chain":
+        sig = chain_D(p, args.s)
+        closed = closed_form_D(p.a, p.b, p.c, args.s)
+        payload = {
+            "s": args.s,
+            "chain": [format_scalar(v) for v in six_vertex_params(sig)],
+            "closed_form": [format_scalar(v) for v in six_vertex_params(closed)],
+            "equal": sig == closed,
+        }
+    elif kind == "mnm":
+        payload = {
+            "result": [format_scalar(v) for v in mnm_product(p)],
+        }
+    elif kind == "one-zero":
+        res = one_zero_chain(p)
+        payload = {
+            "normalized": [format_scalar(v) for v in res.normalized],
+            "branch": res.branch,
+            "steps": [
+                {"label": label, "params": [format_scalar(v) for v in q]}
+                for label, q in res.steps
+            ],
+        }
+    else:  # two-zero
+        payload = {
+            "result": [format_scalar(v) for v in two_zero_product(p)],
+        }
     _emit(payload, args.json)
     return EXIT_OK
 
 
 def cmd_interpolate(args) -> int:
-    try:
-        alpha = parse_scalar(args.alpha)
-        beta = parse_scalar(args.beta)
-        phi = parse_scalar(args.phi)
-        psi = parse_scalar(args.psi)
-        with open(args.values) as fh:
-            n_values = tuple(parse_scalar(v) for v in json.load(fh))
-    except (OSError, json.JSONDecodeError, ScalarParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        lattice = compute_lattice(alpha, beta)
-        inst = InterpolationInstance(alpha, beta, args.m, n_values)
-        value = interpolation_solve(inst, phi, psi)
-    except (LatticeError, InterpolationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    alpha = parse_scalar(args.alpha)
+    beta = parse_scalar(args.beta)
+    phi = parse_scalar(args.phi)
+    psi = parse_scalar(args.psi)
+    with open(args.values) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise InputError(f"--values must hold a JSON list, got {type(raw).__name__}")
+    n_values = tuple(parse_scalar(v) for v in raw)
+    lattice = compute_lattice(alpha, beta)
+    value = interpolation_solve(
+        InterpolationInstance(alpha, beta, args.m, n_values), phi, psi
+    )
     payload = _value_report(value, args.precision)
     payload["lattice"] = {
         "rank": lattice.rank,
@@ -340,7 +321,10 @@ def main(argv=None) -> int:
         if args.precision < 24:
             raise InputError("--precision must be >= 24")
         return args.fn(args)
-    except InputError as exc:
+    except TooLargeError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

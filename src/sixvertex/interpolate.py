@@ -176,12 +176,14 @@ def interpolation_solve(
         raise InterpolationError(
             "rank-2 lattice (both roots of unity) is outside the lemma"
         )
-    pts = cone_points(inst.m)
-    count = len(pts)
+    # counted before the cone is built, so a large m with few values is
+    # refused at once
+    count = (inst.m + 1) * (inst.m + 2) // 2
     if len(inst.n_values) != count:
         raise InterpolationError(
             f"need {count} observations, got {len(inst.n_values)}"
         )
+    pts = cone_points(inst.m)
     if lattice.rank == 1:
         s, t = lattice.generator
         if phi**s * psi**t != ONE:

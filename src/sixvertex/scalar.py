@@ -6,20 +6,26 @@ d > 0, kept in lowest terms: gcd(n0, n1, n2, n3, d) == 1, and zero is
 linearly independent over Q, so equality and hashing compare integers.
 Every result goes through one normalizing constructor, which does one
 multi-argument gcd and skips it when d == 1. The rational components
-re0, im0, re1, im1 (n_k / d) are read-only views for the edges: parsing,
-formatting and callers that want Fractions. All operations are pure and
-exact; no floating point enters except in approx_complex, which is
+re0, im0, re1, im1 (n_k / d) are read-only fractions.Fraction views for
+the edges: formatting and callers that want Fractions. All operations are
+pure and exact; no floating point enters except in approx_complex, which is
 reporting only.
+
+Every scalar the program reads arrives as text and goes through
+parse_scalar: one term loop, _terms, reads the top level and, with
+nested=True, the inside of a (...)r2 group. Anything but a str (a JSON
+number, say) is a ScalarParseError, like any text outside the grammar.
+format_scalar writes the canonical form, rationals as 'p' or 'p/q' (rat_str).
 """
 
 from __future__ import annotations
 
 import re as _re
+from fractions import Fraction
 from math import gcd, lcm
 
 import mpmath
 
-from .rational import Q, parse_rat, rat_str
 
 __all__ = [
     "Scalar",
@@ -35,10 +41,6 @@ __all__ = [
     "parse_scalar",
     "format_scalar",
 ]
-
-_Q0 = Q(0)
-_Q1 = Q(1)
-
 
 class ScalarParseError(ValueError):
     pass
@@ -57,7 +59,7 @@ class Scalar:
                 raise TypeError("Scalar(text) takes no other components")
             coords = parse_scalar(re0).coords
         else:
-            qs = [Q(x) for x in (re0, im0, re1, im1)]
+            qs = [Fraction(x) for x in (re0, im0, re1, im1)]
             d = lcm(*(q.denominator for q in qs))
             coords = tuple(q.numerator * (d // q.denominator) for q in qs) + (d,)
         _set_coords(self, coords)
@@ -77,19 +79,19 @@ class Scalar:
 
     @property
     def re0(self):
-        return Q(self.coords[0], self.coords[4])
+        return Fraction(self.coords[0], self.coords[4])
 
     @property
     def im0(self):
-        return Q(self.coords[1], self.coords[4])
+        return Fraction(self.coords[1], self.coords[4])
 
     @property
     def re1(self):
-        return Q(self.coords[2], self.coords[4])
+        return Fraction(self.coords[2], self.coords[4])
 
     @property
     def im1(self):
-        return Q(self.coords[3], self.coords[4])
+        return Fraction(self.coords[3], self.coords[4])
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
@@ -118,10 +120,6 @@ class Scalar:
         """True when the sqrt2 part vanishes (value lies in Q(i))."""
         c = self.coords
         return not c[2] and not c[3]
-
-    def is_rational(self) -> bool:
-        c = self.coords
-        return not c[1] and not c[2] and not c[3]
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
@@ -205,11 +203,6 @@ class Scalar:
             n >>= 1
         return out
 
-    def conjugate(self) -> Scalar:
-        """Complex conjugate (sqrt2 stays real)."""
-        a, b, c, d, m = self.coords
-        return _make(a, -b, c, -d, m)
-
 
 _ZERO_COORDS = (0, 0, 0, 0, 1)
 _set_coords = Scalar.coords.__set__
@@ -236,7 +229,7 @@ def as_scalar(x) -> Scalar:
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 0, 0, 1)
-    if isinstance(x, (Q, str)):
+    if isinstance(x, (Fraction, str)):
         return Scalar(x)
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
@@ -245,7 +238,7 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 SQRT2 = Scalar(0, 0, 1)
-HALF_SQRT2 = Scalar(0, 0, Q(1, 2))  # equals 1/sqrt2
+HALF_SQRT2 = Scalar(0, 0, Fraction(1, 2))  # equals 1/sqrt2
 
 I_POWERS = (ONE, I, Scalar(-1), Scalar(0, -1))
 
@@ -282,7 +275,14 @@ def _to_mpf(q):
 # The formatter folds signs into the joined terms ("1/2-3i+(0+1i)r2");
 # the parser also accepts looser spellings like "3i", "i", "-(1)r2".
 
-_RAT_RE = _re.compile(r"\d+(?:/\d+)?")
+_RAT_RE = _re.compile(r"(\d+)(?:/(\d+))?")
+
+
+def rat_str(q) -> str:
+    """Canonical text form: 'p' for integers, 'p/q' otherwise."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def complex_str(re, im) -> str:
@@ -299,85 +299,61 @@ def format_scalar(s: Scalar) -> str:
     return head
 
 
-def _parse_rat(token: str, where: str):
-    try:
-        return parse_rat(token)
-    except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in {where!r}") from None
+def _terms(s: str, where: str, nested: bool) -> list:
+    """The signed terms of s summed into [re0, im0, re1, im1].
 
-
-def _parse_complex_terms(text: str, where: str):
-    """Parse a sum of <rat> and <rat>i terms; returns (re, im)."""
-    re_part, im_part = _Q0, _Q0
-    i = 0
-    n = len(text)
-    if n == 0:
-        raise ScalarParseError(f"empty component in {where!r}")
+    A term is <rat>, <rat>i or i, and at the top level also <rat>r2 or a
+    (...)r2 group, whose inside is read by this loop with nested=True.
+    Errors quote where, the text as given.
+    """
+    acc = [0, 0, 0, 0]
+    i, n = 0, len(s)
     while i < n:
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i += 1
-        m = _RAT_RE.match(text, i)
-        if m:
-            val = _parse_rat(m.group(0), where)
-            i = m.end()
-            if i < n and text[i] == "i":
-                i += 1
-                im_part += sign * val
-            else:
-                re_part += sign * val
-        elif i < n and text[i] == "i":
-            i += 1
-            im_part += sign * _Q1
-        else:
-            raise ScalarParseError(f"bad token at {text[i:]!r} in {where!r}")
-    return re_part, im_part
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Exact parse of the canonical scalar grammar (and mild variants)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ScalarParseError("empty scalar")
-    re0 = im0 = re1 = im1 = _Q0
-    i = 0
-    n = len(s)
-    saw_term = False
-    while i < n:
-        sign = 1
+        sign = -1 if s[i] == "-" else 1
         if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
             i += 1
-        if i < n and s[i] == "(":
+        if not nested and s.startswith("(", i):
             j = s.find(")", i)
             if j < 0 or s[j + 1 : j + 3] != "r2":
-                raise ScalarParseError(f"malformed sqrt2 term in {text!r}")
-            r, m = _parse_complex_terms(s[i + 1 : j], text)
-            re1 += sign * r
-            im1 += sign * m
+                raise ScalarParseError(f"malformed sqrt2 term in {where!r}")
+            if j == i + 1:
+                raise ScalarParseError(f"empty component in {where!r}")
+            re1, im1, _, _ = _terms(s[i + 1 : j], where, True)
+            acc[2] += sign * re1
+            acc[3] += sign * im1
             i = j + 3
-            saw_term = True
             continue
         m = _RAT_RE.match(s, i)
         if m:
-            val = _parse_rat(m.group(0), text)
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+            if not den:
+                raise ScalarParseError(f"zero denominator in {where!r}")
+            val = Fraction(num, den)
             i = m.end()
-            if s[i : i + 2] == "r2":
-                re1 += sign * val
-                i += 2
-            elif i < n and s[i] == "i":
-                im0 += sign * val
-                i += 1
-            else:
-                re0 += sign * val
-            saw_term = True
-        elif i < n and s[i] == "i":
-            im0 += sign * _Q1
-            i += 1
-            saw_term = True
+        elif s.startswith("i", i):
+            val = 1
         else:
-            raise ScalarParseError(f"bad token at {s[i:]!r} in {text!r}")
-    if not saw_term:
-        raise ScalarParseError(f"no terms in {text!r}")
-    return Scalar(re0, im0, re1, im1)
+            raise ScalarParseError(f"bad token at {s[i:]!r} in {where!r}")
+        if not nested and s.startswith("r2", i):
+            acc[2] += sign * val
+            i += 2
+        elif s.startswith("i", i):
+            acc[1] += sign * val
+            i += 1
+        else:
+            acc[0] += sign * val
+    return acc
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Exact parse of the canonical scalar grammar (and mild variants).
+
+    Anything but a str, such as a number read from JSON, is a
+    ScalarParseError, as is any text outside the grammar.
+    """
+    if not isinstance(text, str):
+        raise ScalarParseError(f"scalar must be a string, got {text!r}")
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ScalarParseError("empty scalar")
+    return Scalar(*_terms(s, text, False))

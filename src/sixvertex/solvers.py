@@ -149,6 +149,19 @@ def solve_P(grid: SignatureGrid) -> Scalar:
 # ---------------------------------------------------------------- A solver
 
 
+def _parity_checks(f):
+    """f's affine support as parity checks over its 4 ports: the
+    (positions, parity) pairs that every support string meets."""
+    support = f.support()
+    checks = []
+    for mask4 in range(1, 16):
+        dots = {bin(mask4 & s).count("1") & 1 for s in support}
+        if len(dots) == 1:
+            positions = [pos for pos in range(4) if (mask4 >> (3 - pos)) & 1]
+            checks.append((positions, dots.pop()))
+    return checks
+
+
 def solve_A(grid: SignatureGrid) -> Scalar:
     reports = _class_reports(grid, in_A, "is not in the affine class")
     if reports is None:
@@ -160,26 +173,23 @@ def solve_A(grid: SignatureGrid) -> Scalar:
         ends[p] = (e, 0)
         ends[q] = (e, 1)
 
+    checks = {f: _parity_checks(f) for f in reports}
     system = LinearSystemGF2(len(grid.edges))
     phase = QuadraticPhase()
     prefactor = ONE
     for v in sorted(grid.vertices):
         f = grid.vertices[v]
         cert = reports[f].certificate
-        support = f.support()
         port = [ends[Port(v, pos)] for pos in range(4)]
-        # affine support as parity checks over the 4 ports; XOR, so the two
-        # ends of a self-loop cancel to the constant 1
-        for mask4 in range(1, 16):
-            dots = {bin(mask4 & s).count("1") & 1 for s in support}
-            if len(dots) == 1:
-                gmask, rhs = 0, dots.pop()
-                for pos in range(4):
-                    if (mask4 >> (3 - pos)) & 1:
-                        e, flip = port[pos]
-                        gmask ^= 1 << e
-                        rhs ^= flip
-                system.add(gmask, rhs)
+        # each check over the edges; XOR, so the two ends of a self-loop
+        # cancel to the constant 1
+        for positions, rhs in checks[f]:
+            gmask = 0
+            for pos in positions:
+                e, flip = port[pos]
+                gmask ^= 1 << e
+                rhs ^= flip
+            system.add(gmask, rhs)
         prefactor = prefactor * cert.lam
         # free bit u_j = x_e xor t_j at the j-th pivot position
         pvars = [port[pos][0] for pos in cert.pivots]

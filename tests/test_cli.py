@@ -216,8 +216,9 @@ def test_gadget_chain_length_cap():
 
 
 def test_interpolate_command(tmp_path):
+    from fractions import Fraction as Q
+
     from sixvertex.interpolate import make_observations
-    from sixvertex.rational import Q
     from sixvertex.scalar import Scalar, format_scalar
 
     alpha, beta = Scalar(2), Scalar(Q(1, 2))
@@ -288,3 +289,66 @@ def test_bad_global_flag_exit2(flag, value):
     assert r.stderr.startswith("input error:")
     assert flag in r.stderr
     assert r.stdout == ""
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _grid_file(tmp_path, signature):
+    return _file(tmp_path, json.dumps({
+        "vertices": [{"id": 0, "signature": signature}],
+        "edges": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+    }))
+
+
+def _ice_torus_2x2(tmp_path):
+    from sixvertex.grid import build_torus, grid_to_json
+    from sixvertex.signature import SixVertexParams
+
+    ice = SixVertexParams.of(1, 1, 1, 1, 1, 1)
+    return _file(tmp_path, json.dumps(grid_to_json(build_torus(2, ice))))
+
+
+def _interpolate(tmp_path, alpha, values):
+    return [
+        "interpolate", "--alpha", alpha, "--beta", "1", "--m", "1",
+        "--phi", "1", "--psi", "1", "--values", _file(tmp_path, values),
+    ]
+
+
+# one real command per class in the CLI's input-error table, with a piece of
+# the message that class gives
+@pytest.mark.parametrize(
+    "make_args, message",
+    [
+        (lambda tmp: ["eval", str(tmp / "missing.json")], "No such file"),
+        (lambda tmp: ["eval", _file(tmp, "not json")], "Expecting value"),
+        (lambda tmp: ["torus", "--n", "1", "--params", *["1"] * 6], "torus needs n >= 2"),
+        (lambda tmp: ["eval", _ice_torus_2x2(tmp), "--method", "p"],
+         "is not in the product class"),
+        (lambda tmp: ["gadget", "one-zero", "--params", *["1"] * 6], "need exactly one zero"),
+        (lambda tmp: _interpolate(tmp, "1", '["1", "1", "1"]'), "rank-2 lattice"),
+        (lambda tmp: _interpolate(tmp, "0", '["1", "1", "1"]'), "nonzero alpha and beta"),
+        (lambda tmp: ["eval", _grid_file(tmp, {"six_vertex": [1] * 6})],
+         "scalar must be a string, got 1"),
+        (lambda tmp: ["eval", _grid_file(tmp, {"arity": 4, "values": [0] * 16})],
+         "scalar must be a string, got 0"),
+        (lambda tmp: _interpolate(tmp, "2", "[1, 2, 3]"), "scalar must be a string, got 1"),
+        (lambda tmp: _interpolate(tmp, "2", '"123"'), "--values must hold a JSON list"),
+        (lambda tmp: _interpolate(tmp, "2", '{"1": 0, "2": 0, "3": 0}'),
+         "--values must hold a JSON list"),
+    ],
+    ids=[
+        "OSError", "JSONDecodeError", "GridError", "SolverError", "GadgetError",
+        "InterpolationError", "LatticeError", "ScalarParseError-six-vertex",
+        "ScalarParseError-values", "ScalarParseError-interpolate",
+        "InputError-string", "InputError-object",
+    ],
+)
+def test_input_error_table_exit2(tmp_path, make_args, message):
+    r = run_cli(*make_args(tmp_path))
+    assert_input_error(r)
+    assert message in r.stderr and r.stdout == ""

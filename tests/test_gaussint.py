@@ -1,12 +1,12 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction as Q
 
 import pytest
 from test_cli import CHILD_ENV
 
 from sixvertex.gaussint import gaussian_valuations
-from sixvertex.rational import Q
 from sixvertex.interpolate import LatticeError
 from sixvertex.scalar import I_POWERS, SQRT2, Scalar
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as Q
 
 import pytest
 
@@ -11,7 +12,6 @@ from sixvertex.interpolate import (
     interpolation_solve,
     make_observations,
 )
-from sixvertex.rational import Q
 from sixvertex.sampling import SCALAR_POOL
 from sixvertex.scalar import ONE, SQRT2, Scalar, ZERO
 
@@ -120,6 +120,17 @@ class TestInterpolationSolve:
     def test_observation_count_checked(self):
         inst = InterpolationInstance(G(2), G(3), 2, (ONE,))
         with pytest.raises(InterpolationError):
+            interpolation_solve(inst, ONE, ONE)
+
+    def test_observation_count_checked_before_the_cone(self, monkeypatch):
+        # a huge m with three values must be refused without building the
+        # (m+1)(m+2)/2 cone points
+        def no_cone(m):
+            raise AssertionError(f"cone_points({m}) built before the count check")
+
+        monkeypatch.setattr("sixvertex.interpolate.cone_points", no_cone)
+        inst = InterpolationInstance(G(2), G(Q(1, 2)), 20_000, (ONE, ONE, ONE))
+        with pytest.raises(InterpolationError, match="need 200030001 observations, got 3"):
             interpolation_solve(inst, ONE, ONE)
 
     def test_negative_generator_exponents(self):

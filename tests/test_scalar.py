@@ -1,11 +1,11 @@
 import copy
 import pickle
 import random
+from fractions import Fraction as Q
 from math import gcd
 
 import pytest
 
-from sixvertex.rational import Q
 from sixvertex.scalar import (
     I,
     ONE,
@@ -109,12 +109,39 @@ def test_grammar_examples():
     assert parse_scalar("-i") == Scalar(0, -1)
     assert parse_scalar("(1)r2") == SQRT2
     assert parse_scalar("-3/4") == Scalar(Q(-3, 4))
+    assert parse_scalar("2r2i") == Scalar(0, 1, 2)
+    assert parse_scalar("-(i-1/2)r2+i+i") == Scalar(0, 2, Q(1, 2), -1)
 
 
 @pytest.mark.parametrize("bad", ["", "1+", "r2", "1+(2r2", "x", "(1)r3"])
 def test_parse_rejects(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (" ", "empty scalar"),
+        ("1+", "bad token at '' in '1+'"),
+        ("1 + x", "bad token at 'x' in '1 + x'"),
+        ("1+(2r2", "malformed sqrt2 term in '1+(2r2'"),
+        ("(1)r3", "malformed sqrt2 term in '(1)r3'"),
+        ("()r2", "empty component in '()r2'"),
+        ("(+)r2", "bad token at '' in '(+)r2'"),
+        ("(1r2)r2", "bad token at 'r2' in '(1r2)r2'"),
+        ("((1)r2)r2", "bad token at '(1' in '((1)r2)r2'"),
+        ("2/0i", "zero denominator in '2/0i'"),
+        ("(1/0)r2", "zero denominator in '(1/0)r2'"),
+        (1, "scalar must be a string, got 1"),
+        (None, "scalar must be a string, got None"),
+        (["1"], "scalar must be a string, got ['1']"),
+    ],
+)
+def test_parse_error_messages(bad, message):
+    with pytest.raises(ScalarParseError) as exc:
+        parse_scalar(bad)
+    assert str(exc.value) == message
 
 
 def test_approx_complex():
@@ -140,7 +167,6 @@ def test_approx_precision_scales():
 def test_gaussian_rational_arithmetic():
     g = Scalar(2, 3)
     assert g * g.inverse() == Scalar(1)
-    assert g * g.conjugate() == 13
     assert (g**3) == g * g * g
     with pytest.raises(ZeroDivisionError):
         Scalar(0).inverse()
@@ -235,7 +261,6 @@ def test_matches_fraction_reference():
         assert_canonical(sx + sy, ref_add(x, y))
         assert_canonical(sx - sy, ref_sub(x, y))
         assert_canonical(sx * sy, ref_mul(x, y))
-        assert_canonical(sx.conjugate(), (x[0], -x[1], x[2], -x[3]))
         assert_canonical(-sx, tuple(-u for u in x))
         assert bool(sx) == any(x)
         for n in (0, 1, -1, 2):
