@@ -261,7 +261,7 @@ def criterion_6_interpolation(rng: random.Random):
             want = ZERO
             for (j, k), xv in x.items():
                 want = want + phi**j * psi**k * xv
-            got = interpolation_solve(inst, phi, psi)
+            got = interpolation_solve(inst, phi, psi, lat)
             if got != want:
                 return False, f"round trip failed: alpha={alpha} m={m}"
     return True, "3 lattices, m in {2,4,6} synthetic round trips exact"

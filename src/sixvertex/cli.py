@@ -236,7 +236,7 @@ def cmd_interpolate(args) -> int:
     n_values = tuple(parse_scalar(v) for v in raw)
     lattice = compute_lattice(alpha, beta)
     value = interpolation_solve(
-        InterpolationInstance(alpha, beta, args.m, n_values), phi, psi
+        InterpolationInstance(alpha, beta, args.m, n_values), phi, psi, lattice
     )
     payload = _value_report(value, args.precision)
     payload["lattice"] = {

@@ -1,8 +1,19 @@
 """Brute-force evaluators and independent oracles.
 
-brute_force_eval enumerates the 2^|E| edge orientations directly from the
-Holant definition; it is the ground truth every other evaluator is gated
-against, so it shares no code with the contraction engine.
+brute_force_eval sums, over the 2^|E| edge orientations, the product of
+the vertex values, directly from the Holant definition; it is the ground
+truth every other evaluator is gated against, so it shares no code with
+the contraction engine. eval_bipartite_equality is the same sum with
+equality edges.
+
+The sum is enumerated depth first, one edge bit per level. The edges are
+ordered by taking the vertices in sorted order and listing each vertex's
+edges not yet listed, and each vertex is evaluated at the first level where
+all of its ports are set. A zero vertex value skips the whole subtree
+below it (every leaf there has product 0), and each node returns the
+product of the vertices it completes times the sum over its two children
+(distributivity). The result is the same 2^|E|-term sum, exactly; nothing
+is memoised on the open edges, which would make it a contraction.
 """
 
 from __future__ import annotations
@@ -66,24 +77,63 @@ def _assignment_sum(
             f"{m} edges exceeds brute-force cap {edge_cap}"
         )
     layout = _port_layout(grid, second_end_flip)
-    vertices = [
-        (signatures[v].values, layout[v]) for v in sorted(grid.vertices)
-    ]
-    total = ZERO
-    for assign in range(1 << m):
-        prod = ONE
-        for table, ports in vertices:
+    level: dict[int, int] = {}  # edge -> the level at which its bit is set
+    # complete[k]: (table, ports) of each vertex whose ports are all set
+    # once bits[:k] are, each port read as (shift, level, flip)
+    complete = [[] for _ in range(m + 1)]
+    for v in sorted(layout):
+        for _, e, _ in layout[v]:
+            level.setdefault(e, len(level))
+        ports = [(shift, level[e], flip) for shift, e, flip in layout[v]]
+        complete[1 + max(d for _, d, _ in ports)].append(
+            (signatures[v].values, ports)
+        )
+    return EvalResult(_factored_sum(complete), method, {"assignments": 1 << m})
+
+
+def _factored_sum(complete) -> Scalar:
+    """Depth-first sum over the bits of levels 0..m-1 (m = len(complete)
+    - 1). The node at level k, with bits[:k] set, is worth the product of
+    the vertices in complete[k] times the sum of its two children; a zero
+    vertex value makes it worth 0 without visiting them. An explicit stack,
+    so the depth is not bounded by the recursion limit."""
+    m = len(complete) - 1
+    bits = [0] * m
+    prods = [None] * m  # product of complete[k]; None when it is empty
+    sums = [ZERO] * m  # sum over the finished children of level k
+    k = 0
+    while True:
+        # enter the node at level k
+        prod = None
+        for table, ports in complete[k]:
             idx = 0
-            for shift, e, flip in ports:
-                idx |= (((assign >> e) & 1) ^ flip) << shift
+            for shift, d, flip in ports:
+                idx |= (bits[d] ^ flip) << shift
             val = table[idx]
             if not val:
-                prod = None
+                value = ZERO  # every leaf below has product 0
                 break
-            prod = prod * val
-        if prod is not None:
-            total = total + prod
-    return EvalResult(total, method, {"assignments": 1 << m})
+            prod = val if prod is None else prod * val
+        else:
+            if k < m:
+                prods[k], sums[k], bits[k] = prod, ZERO, 0
+                k += 1
+                continue
+            value = ONE if prod is None else prod
+        # leave it: fold its value into the levels above that are done
+        while k:
+            k -= 1
+            if value:
+                sums[k] = sums[k] + value if sums[k] else value
+            if not bits[k]:
+                bits[k] = 1
+                k += 1
+                break
+            value = sums[k]
+            if prods[k] is not None and value:
+                value = prods[k] * value
+        else:
+            return value
 
 
 def brute_force_eval(grid: SignatureGrid, edge_cap: int = DEFAULT_EDGE_CAP) -> EvalResult:

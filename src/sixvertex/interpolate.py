@@ -166,12 +166,15 @@ def _solve_linear(A, b):
 
 
 def interpolation_solve(
-    inst: InterpolationInstance, phi: Scalar, psi: Scalar
+    inst: InterpolationInstance,
+    phi: Scalar,
+    psi: Scalar,
+    lattice: ExponentLattice,
 ) -> Scalar:
-    """Recover sum phi^j psi^k x_{j,k} from the N_l observations."""
+    """Recover sum phi^j psi^k x_{j,k} from the N_l observations, given
+    lattice = compute_lattice(inst.alpha, inst.beta)."""
     if inst.m < 0:
         raise InterpolationError("m must be >= 0")
-    lattice = compute_lattice(inst.alpha, inst.beta)
     if lattice.rank == 2:
         raise InterpolationError(
             "rank-2 lattice (both roots of unity) is outside the lemma"

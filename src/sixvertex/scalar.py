@@ -14,13 +14,15 @@ reporting only.
 Every scalar the program reads arrives as text and goes through
 parse_scalar: one term loop, _terms, reads the top level and, with
 nested=True, the inside of a (...)r2 group. Anything but a str (a JSON
-number, say) is a ScalarParseError, like any text outside the grammar.
+number, say) is a ScalarParseError, like any text outside the grammar and
+a number past the interpreter's int-string digit limit (left as it is).
 format_scalar writes the canonical form, rationals as 'p' or 'p/q' (rat_str).
 """
 
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -325,7 +327,13 @@ def _terms(s: str, where: str, nested: bool) -> list:
             continue
         m = _RAT_RE.match(s, i)
         if m:
-            num, den = int(m.group(1)), int(m.group(2) or 1)
+            try:
+                num, den = int(m.group(1)), int(m.group(2) or 1)
+            except ValueError:  # past the interpreter's int-string limit
+                raise ScalarParseError(
+                    f"number longer than {sys.get_int_max_str_digits()} "
+                    f"digits in {where!r}"
+                ) from None
             if not den:
                 raise ScalarParseError(f"zero denominator in {where!r}")
             val = Fraction(num, den)

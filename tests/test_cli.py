@@ -245,6 +245,30 @@ def test_interpolate_command(tmp_path):
     assert r.returncode == 2  # sqrt2 outside Q(i)
 
 
+def test_interpolate_computes_the_lattice_once(tmp_path, monkeypatch, capsys):
+    import sixvertex.interpolate
+    from sixvertex.cli import main
+
+    calls = []
+    factor = sixvertex.interpolate.gaussian_valuations
+
+    def counted(z):
+        calls.append(z)
+        return factor(z)
+
+    monkeypatch.setattr(sixvertex.interpolate, "gaussian_valuations", counted)
+    values = tmp_path / "vals.json"
+    values.write_text(json.dumps(["7", "17/2", "49/4"]))
+    code = main([
+        "interpolate", "--alpha", "2", "--beta", "1/2", "--m", "1",
+        "--phi", "3", "--psi", "1/3", "--values", str(values),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert "23/3" in out  # the value test_interpolate_command asserts
+    assert len(calls) == 2  # alpha and beta, factored once each
+
+
 def test_torus_output_to_missing_directory_exit2(tmp_path):
     out = tmp_path / "missing" / "x.json"
     r = run_cli("torus", "--n", "3", "--params", *["1"] * 6, "-o", str(out))
@@ -340,12 +364,13 @@ def _interpolate(tmp_path, alpha, values):
         (lambda tmp: _interpolate(tmp, "2", '"123"'), "--values must hold a JSON list"),
         (lambda tmp: _interpolate(tmp, "2", '{"1": 0, "2": 0, "3": 0}'),
          "--values must hold a JSON list"),
+        (lambda tmp: ["classify", *["1"] * 5, "1" * 5000], "digits in '1111"),
     ],
     ids=[
         "OSError", "JSONDecodeError", "GridError", "SolverError", "GadgetError",
         "InterpolationError", "LatticeError", "ScalarParseError-six-vertex",
         "ScalarParseError-values", "ScalarParseError-interpolate",
-        "InputError-string", "InputError-object",
+        "InputError-string", "InputError-object", "ScalarParseError-long-number",
     ],
 )
 def test_input_error_table_exit2(tmp_path, make_args, message):

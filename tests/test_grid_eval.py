@@ -21,7 +21,7 @@ from sixvertex.grid import (
     validate,
 )
 from sixvertex.sampling import SCALAR_POOL, random_grid, random_params
-from sixvertex.scalar import Scalar, ZERO
+from sixvertex.scalar import ONE, Scalar, ZERO
 from sixvertex.signature import (
     Signature,
     SixVertexParams,
@@ -38,6 +38,91 @@ def loop_grid(params, pairing):
     sig = from_six_vertex(params)
     edges = tuple((Port(0, a), Port(0, b)) for a, b in pairing)
     return SignatureGrid({0: sig}, edges)
+
+
+def reference_sum(grid, signatures, second_end_flip):
+    """The plain loop over all 2^|E| edge assignments: edge bit b is the
+    bit of its first port, b ^ second_end_flip that of its second, and
+    slot 0 is the most significant bit of a vertex's table index."""
+    tables = [
+        (sig.values, [Port(v, s) for s in range(4)])
+        for v, sig in signatures.items()
+    ]
+    total = ZERO
+    for assign in range(1 << len(grid.edges)):
+        bit = {}
+        for e, (p, q) in enumerate(grid.edges):
+            bit[p] = (assign >> e) & 1
+            bit[q] = bit[p] ^ second_end_flip
+        prod = ONE
+        for values, (x1, x2, x3, x4) in tables:
+            prod = prod * values[bit[x1] << 3 | bit[x2] << 2 | bit[x3] << 1 | bit[x4]]
+        total = total + prod
+    return total
+
+
+def _equality_corpus(rng, count):
+    """(grid, equality-side signatures) pairs: one vertex with two loops
+    and an all-zero signature, the same with ice, then count seeded grids
+    of 1..5 vertices (self-loops and parallel edges come with the uniform
+    port pairing). Odd grids give each vertex its own tuple. The equality
+    side takes, in turn, the Z transform of each vertex's signature (dense),
+    random 16-value tables, and the grid's own signatures."""
+    zero = Signature(4, [ZERO] * 16)
+    yield loop_grid(SV(0, 0, 0, 0, 0, 0), ((0, 2), (1, 3))), {0: zero}
+    yield loop_grid(ICE, ((0, 1), (2, 3))), {0: zero}
+    for i in range(count):
+        n = rng.randint(1, 5)
+        if i % 2:
+            sigs = {v: from_six_vertex(random_params(rng)) for v in range(n)}
+            g = random_grid(rng, n, signatures=sigs)
+        else:
+            g = random_grid(rng, n, from_six_vertex(random_params(rng)))
+        if i % 3 == 0:
+            eq = {v: holographic_transform(f, Z_BASIS) for v, f in g.vertices.items()}
+        elif i % 3 == 1:
+            eq = {
+                v: Signature(4, [rng.choice(SCALAR_POOL) for _ in range(16)])
+                for v in g.vertices
+            }
+        else:
+            eq = dict(g.vertices)
+        yield g, eq
+
+
+def test_enumerator_matches_the_plain_loop():
+    rng = random.Random(20261020)
+    shapes = dict.fromkeys(("self-loop", "parallel", "dense", "all-zero"), 0)
+    for g, eq in _equality_corpus(rng, 320):
+        stats = {"assignments": 1 << len(g.edges)}
+        b = brute_force_eval(g)
+        assert (b.value, b.method, b.stats) == (
+            reference_sum(g, g.vertices, 1), "brute", stats
+        )
+        e = eval_bipartite_equality(g, eq)
+        assert (e.value, e.method, e.stats) == (
+            reference_sum(g, eq, 0), "brute-eq", stats
+        )
+        pairs = [frozenset((p.vertex, q.vertex)) for p, q in g.edges]
+        shapes["self-loop"] += any(len(pair) == 1 for pair in pairs)
+        shapes["parallel"] += len(set(pairs)) < len(pairs)
+        shapes["dense"] += any(sum(map(bool, f.values)) > 6 for f in eq.values())
+        shapes["all-zero"] += any(not any(f.values) for f in eq.values())
+    assert min(shapes.values()) > 0, shapes
+
+
+def test_enumerator_depth_is_not_bounded_by_recursion():
+    # a ring of n vertices joined by two parallel edges: (2, 3, 0, 0, 0, 0)
+    # allows 0011 or 1100 at every vertex, the same at all of them, so the
+    # value is 2^n + 3^n; 1,200 levels, deeper than the recursion limit
+    n = 600
+    edges = []
+    for v in range(n):
+        edges.append((Port(v, 1), Port((v + 1) % n, 3)))
+        edges.append((Port(v, 2), Port((v + 1) % n, 0)))
+    sig = from_six_vertex(SV(2, 3, 0, 0, 0, 0))
+    ring = SignatureGrid(dict.fromkeys(range(n), sig), tuple(edges))
+    assert brute_force_eval(ring, edge_cap=2 * n).value == Scalar(2**n + 3**n)
 
 
 def test_validate_ok_and_errors():

@@ -18,6 +18,11 @@ from sixvertex.scalar import ONE, SQRT2, Scalar, ZERO
 G = Scalar
 
 
+def solve(inst, phi, psi):
+    lattice = compute_lattice(inst.alpha, inst.beta)
+    return interpolation_solve(inst, phi, psi, lattice)
+
+
 class TestLattice:
     def test_acceptance_vectors(self):
         assert compute_lattice(G(2), G(3)).rank == 0
@@ -75,7 +80,7 @@ class TestInterpolationSolve:
         inst = InterpolationInstance(
             alpha, beta, 1, make_observations(alpha, beta, 1, x)
         )
-        assert interpolation_solve(inst, ONE, ONE) == Scalar(6)
+        assert solve(inst, ONE, ONE) == Scalar(6)
 
     def test_rank1_weighted_sum(self):
         rng = random.Random(61)
@@ -89,7 +94,7 @@ class TestInterpolationSolve:
             want = ZERO
             for (j, k), xv in x.items():
                 want = want + phi**j * psi**k * xv
-            assert interpolation_solve(inst, phi, psi) == want
+            assert solve(inst, phi, psi) == want
 
     def test_phi_psi_one_is_plain_sum(self):
         rng = random.Random(62)
@@ -101,7 +106,7 @@ class TestInterpolationSolve:
         want = ZERO
         for xv in x.values():
             want = want + xv
-        assert interpolation_solve(inst, ONE, ONE) == want
+        assert solve(inst, ONE, ONE) == want
 
     def test_lattice_condition_enforced(self):
         alpha, beta = G(2), G(Q(1, 2))
@@ -110,17 +115,17 @@ class TestInterpolationSolve:
             alpha, beta, 1, make_observations(alpha, beta, 1, x)
         )
         with pytest.raises(InterpolationError):
-            interpolation_solve(inst, Scalar(3), Scalar(5))
+            solve(inst, Scalar(3), Scalar(5))
 
     def test_rank2_rejected(self):
         inst = InterpolationInstance(G(0, 1), G(0, 1), 1, (ONE, ONE, ONE))
         with pytest.raises(InterpolationError):
-            interpolation_solve(inst, ONE, ONE)
+            solve(inst, ONE, ONE)
 
     def test_observation_count_checked(self):
         inst = InterpolationInstance(G(2), G(3), 2, (ONE,))
         with pytest.raises(InterpolationError):
-            interpolation_solve(inst, ONE, ONE)
+            solve(inst, ONE, ONE)
 
     def test_observation_count_checked_before_the_cone(self, monkeypatch):
         # a huge m with three values must be refused without building the
@@ -131,7 +136,7 @@ class TestInterpolationSolve:
         monkeypatch.setattr("sixvertex.interpolate.cone_points", no_cone)
         inst = InterpolationInstance(G(2), G(Q(1, 2)), 20_000, (ONE, ONE, ONE))
         with pytest.raises(InterpolationError, match="need 200030001 observations, got 3"):
-            interpolation_solve(inst, ONE, ONE)
+            solve(inst, ONE, ONE)
 
     def test_negative_generator_exponents(self):
         # alpha = 1/2: lattice of (1/2, 2) is generated by (1,1) as well
@@ -147,5 +152,5 @@ class TestInterpolationSolve:
         want = ZERO
         for (j, k), xv in x.items():
             want = want + phi**j * psi**k * xv
-        assert interpolation_solve(inst, phi, psi) == want
+        assert solve(inst, phi, psi) == want
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction as Q
 from math import gcd
 
@@ -142,6 +143,16 @@ def test_parse_error_messages(bad, message):
     with pytest.raises(ScalarParseError) as exc:
         parse_scalar(bad)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("template", ["{}", "1/{}i", "(2+{}i)r2"])
+def test_parse_rejects_numbers_past_the_int_limit(template):
+    # int() refuses longer digit strings; the limit itself is left alone
+    limit = sys.get_int_max_str_digits()
+    text = template.format("7" * (limit + 1))
+    with pytest.raises(ScalarParseError) as exc:
+        parse_scalar(text)
+    assert str(exc.value) == f"number longer than {limit} digits in {text!r}"
 
 
 def test_approx_complex():
