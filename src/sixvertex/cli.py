@@ -51,6 +51,10 @@ EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
 
+# approx_complex runs mpmath at --precision bits plus 8; past this ceiling
+# one eval of a one-vertex grid would take seconds, and more without bound
+MAX_PRECISION = 65536
+
 
 class InputError(Exception):
     pass
@@ -320,6 +324,8 @@ def main(argv=None) -> int:
             raise InputError("--cap-edges and --cap-rank must be positive")
         if args.precision < 24:
             raise InputError("--precision must be >= 24")
+        if args.precision > MAX_PRECISION:
+            raise InputError(f"--precision must be <= {MAX_PRECISION}")
         return args.fn(args)
     except TooLargeError as exc:
         print(f"refused: {exc}", file=sys.stderr)

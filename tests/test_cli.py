@@ -328,6 +328,21 @@ def _grid_file(tmp_path, signature):
     }))
 
 
+def test_precision_ceiling_refuses_at_once(tmp_path):
+    """A huge --precision is refused before mpmath runs at that many bits."""
+    grid = _grid_file(tmp_path, {"six_vertex": ["1"] * 6})
+    r = subprocess.run(
+        BASE + ["--precision", "1000000000", "eval", grid],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=30,
+    )
+    assert r.returncode == 2
+    assert r.stderr == "input error: --precision must be <= 65536\n"
+    assert r.stdout == ""
+    r = run_cli("--precision", "65536", "eval", grid)
+    assert r.returncode == 0, r.stderr
+    assert "value: 4" in r.stdout
+
+
 def _ice_torus_2x2(tmp_path):
     from sixvertex.grid import build_torus, grid_to_json
     from sixvertex.signature import SixVertexParams

@@ -201,6 +201,108 @@ def test_unpack_at_the_digit_limits():
                 assert contract._unpack(x, b, None) == want
 
 
+# rational tables only, so every merge may take the row path
+ROW_POOL = tuple(map(parse_scalar, ("0", "1", "-1", "2", "-3", "1/2", "-5/3", "7")))
+
+
+def rational_corpus():
+    """Seeded rational grids of 1-7 vertices, six-vertex and general tables,
+    and the shapes the row path must get right: self-loops, parallel edges,
+    negative tables, a grid whose Z cancels to 0 and an all-zero table."""
+    from sixvertex.signature import Signature
+
+    rng = random.Random("row-path")
+    grids = []
+    for trial in range(220):
+        n = rng.randint(1, 7)
+        if trial % 3 == 0:
+            g = random_grid(rng, n, from_six_vertex(random_params(rng, pool=ROW_POOL)))
+        else:
+            sigs = {v: Signature(4, [rng.choice(ROW_POOL) for _ in range(16)]) for v in range(n)}
+            g = random_grid(rng, n, signatures=sigs)
+        grids.append(g)
+    zero = Signature(4, [Scalar(0)] * 16)
+    grids.append(random_grid(rng, 3, signatures={0: zero, 1: grids[5].vertices[0], 2: zero}))
+    grids.append(random_grid(rng, 1, signatures={0: zero}))
+    signs = tuple(map(parse_scalar, ("1", "-1")))
+    for _ in range(500):
+        sigs = {v: Signature(4, [rng.choice(signs) for _ in range(16)]) for v in range(4)}
+        g = random_grid(rng, 4, signatures=sigs)
+        if not brute_force_eval(g).value:
+            grids.append(g)
+            break
+    return grids
+
+
+@pytest.mark.parametrize("force", [True, False])
+def test_row_path_and_dict_path_match_brute_force(monkeypatch, force):
+    monkeypatch.setattr(contract, "_row_path_pays", lambda *sizes: force)
+    grids = rational_corpus()
+    loops = parallel = negative = cancelled = all_zero = packed = 0
+    for i, g in enumerate(grids):
+        want = brute_force_eval(g).value
+        res = contract_eval(g)
+        assert res.value == want, i
+        packed += res.stats["packed_merges"]
+        pairs = [frozenset((p.vertex, q.vertex)) for p, q in g.edges]
+        loops += any(len(pair) == 1 for pair in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        negative += any(x.coords[0] < 0 for sig in g.vertices.values() for x in sig.values)
+        all_zero += any(not any(sig.values) for sig in g.vertices.values())
+        cancelled += not want and all(any(sig.values) for sig in g.vertices.values())
+    assert len(grids) >= 200
+    assert loops and parallel and negative and cancelled and all_zero
+    assert (packed > 0) == force
+
+
+@pytest.mark.parametrize(
+    "n_groups, ma, mb, width",
+    [
+        (7, 31, 151, 16),  # bound 7 * 31 * 151 = 2^15 - 1: sums reach 2^(W-1) - 1
+        (3, 85, 257, 24),  # bound 2^16 - 1: the sign bit needs a third byte
+    ],
+)
+def test_row_slots_at_the_width_limits(monkeypatch, n_groups, ma, mb, width):
+    """Slot sums of +-max|a| * max|b| * groups, the width bound, and 0
+    decode exactly; W is the bound's bit length plus a sign bit, in bytes."""
+    monkeypatch.setattr(contract, "_row_path_pays", lambda *sizes: True)
+    widths = []
+    products = contract._row_products
+
+    def spy(stream, groups, s, sb, width):
+        widths.append(width)
+        return products(stream, groups, s, sb, width)
+
+    monkeypatch.setattr(contract, "_row_products", spy)
+    shared = range(1, n_groups + 1)
+    # b: shared edges 10-12 (bits 0-2), out edges 20, 21 (bits 3, 4); slot 2
+    # is filled in all groups but the last
+    b_data = {}
+    for g in shared:
+        b_data[g] = mb
+        b_data[g | 1 << 3] = -mb
+        if g < n_groups:
+            b_data[g | 1 << 4] = mb
+    b = contract._Tensor((10, 11, 12, 20, 21), b_data)
+    # a, streamed: the same shared edges and out edges 30, 31 (bits 3, 4);
+    # row 1 alternates sign, rows 2 and 3 negate rows 0 and 1
+    a_data = {}
+    for g in shared:
+        for row, sign in enumerate((1, (-1) ** g, -1, -((-1) ** g))):
+            a_data[g | row << 3] = ma * sign
+    a = contract._Tensor((10, 11, 12, 30, 31), a_data)
+    merged, row_path = contract._merge(a, b, None)
+    assert row_path and widths == [width]
+    one, top = ma * mb, ma * mb * n_groups
+    assert top.bit_length() + 1 <= width < top.bit_length() + 9
+    # key bits: 20, 21, then 30, 31; slot 2 of rows 1 and 3 cancels to 0
+    assert merged.edges == (20, 21, 30, 31)
+    assert merged.data == {
+        0: top, 1: -top, 2: top - one, 4: -one, 5: one,
+        8: -top, 9: top, 10: one - top, 12: one, 13: -one,
+    }
+
+
 def bit_loop(key, dst):
     out = 0
     for src, d in enumerate(dst):
@@ -225,6 +327,18 @@ def test_ice_torus_8_exact():
     res = contract_eval(build_torus(8, ICE))
     assert res.value == Scalar(2901094068042)
     assert res.stats["peak_rank"] == 16
+
+
+def test_ice_torus_10_exact():
+    res = contract_eval(build_torus(10, ICE))
+    assert res.value == Scalar(16178049740086515288)
+    assert res.stats["peak_rank"] == 20
+
+
+def test_packed_merges_counts_the_row_path():
+    assert contract_eval(build_torus(8, ICE)).stats["packed_merges"] > 0
+    r2 = SV(*map(parse_scalar, ("(1)r2", "1", "2", "1", "1", "1")))
+    assert contract_eval(build_torus(4, r2)).stats["packed_merges"] == 0
 
 
 def test_torus_against_transfer_matrix():
