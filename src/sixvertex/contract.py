@@ -10,25 +10,30 @@ Every merge multiplies plain Python ints. Each vertex tensor is scaled by
 the lcm D_v of its denominators, so an entry is x0 + x1*i + (x2 + x3*i)*sqrt2
 with integer x_k, and the contracted value is divided by the product of the
 D_v once at the end. Rational tables stay exact ints (x0). Any other table
-is packed by Kronecker substitution (von zur Gathen and Gerhard, Modern
-Computer Algebra, 8.4): Q(i, sqrt2) = Q(z) for z = zeta8, with i = z^2 and
-sqrt2 = z - z^3, so the entry is sum_j c_j z^j with
-(c0, c1, c2, c3) = (x0, x2 + x3, x1, x3 - x2), and it becomes the int
-sum_j c_j 2^(jB) mod N = 2^(4B) + 1. Since 2^(4B) = -1 mod N, 2^B is a root
-of z^4 + 1 mod N, so sums and products of packed entries, reduced mod N,
-are the packed sums and products.
+keeps each entry as its coordinates over Z[zeta8]: Q(i, sqrt2) = Q(z) for
+z = zeta8, with i = z^2 and sqrt2 = z - z^3, so the entry is sum_j c_j z^j
+with (c0, c1, c2, c3) = (x0, x2 + x3, x1, x3 - x2). Each merge packs its two
+inputs by Kronecker substitution (von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4) at a digit width W of its own: an entry becomes the
+int sum_j c_j 2^(jW) mod N = 2^(4W) + 1. Since 2^(4W) = -1 mod N, 2^W is a
+root of z^4 + 1 mod N, so sums and products of packed entries, reduced
+mod N, are the packed sums and products.
 
-The decoding is exact because B is large enough. For each complex embedding
-s of Q(z), |c_j(Z)| <= max_s |s(Z)| (the c_j are an average of the s(Z)
-times roots of unity), and |s(Z)| <= prod_v sum_x |c(f_v(x))|_1 (Z sums
-products of one entry per vertex, and |s(z^j)| = 1). B is chosen with
-2^(B-1) above that product, so the balanced residue of the packed Z splits
-into four signed base-2^B digits, which are its c_j; then x2 = (c1 - c3)/2
-and x3 = (c1 + c3)/2. The result is the same exact Scalar.
+The decoding is exact because W is large enough for its merge. The L1 norm
+|c|_1 = sum_j |c_j| is submultiplicative under multiplication in
+Z[z]/(z^4 + 1) (a negacyclic convolution), and |c_j| <= |c|_1. An output
+entry sums at most min(len a, len b, 2^shared) products, one entry of each
+input in each, so its digits are at most ta * tb * terms in absolute value,
+ta and tb being the largest L1 norms among the inputs' entries. W is that
+bound's bit length plus a sign bit, so the balanced residue of each output
+entry splits into four signed base-2^W digits, which are its c_j. The
+merge keeps those coordinates, and the next merge packs them at its own
+width. At the end x2 = (c1 - c3)/2 and x3 = (c1 + c3)/2, and the result is
+the same exact Scalar.
 
 A merge groups the smaller tensor by its shared edges and streams the
 larger one past the groups. By default each product is one dict update.
-When every table is rational (N is None), a dense merge takes the row path
+When every table is rational, a dense merge takes the row path
 instead, again a Kronecker substitution: each group becomes one int with a
 W-bit slot per out key of the smaller tensor, so each streamed entry is one
 big-int multiply-add into its output row. A slot sums at most one product
@@ -36,8 +41,8 @@ per group, so W, whole bytes, is the bit length of
 max|a| * max|b| * groups plus a sign bit; adding 2^(W-1) to each slot makes
 a row's slots its unsigned bytes. The row path is taken when the dict
 products a streamed entry saves exceed the cost of its multiply-add, a cost
-model over the merge's sizes (_row_path_pays). Packed Z[zeta8] tables stay
-on the dict path: their slots would be as wide as N.
+model over the merge's sizes (_row_path_pays). Z[zeta8] merges stay on the
+dict path.
 """
 
 from __future__ import annotations
@@ -150,10 +155,11 @@ def _remap(data: dict, dst: list[int]):
     )
 
 
-def _lift(tensors) -> tuple[int, int, int | None]:
-    """Turn every entry into one int, in place, as the module docstring
-    describes; returns (D, B, N), N None when every table is rational."""
-    scale = bound = 1
+def _lift(tensors) -> tuple[int, bool]:
+    """Turn every entry into exact ints, in place, as the module docstring
+    describes: its zeta8 coordinates (c0, c1, c2, c3), or the int c0 alone
+    when every table is rational. Returns (D, whether any table is not)."""
+    scale = 1
     for t in tensors:
         den = lcm(*(s.coords[4] for s in t.data.values()))
         scale *= den
@@ -163,28 +169,53 @@ def _lift(tensors) -> tuple[int, int, int | None]:
             m = den // d
             zeta[k] = (x0 * m, (x2 + x3) * m, x1 * m, (x3 - x2) * m)
         t.data = zeta
-        bound *= sum(abs(x) for c in zeta.values() for x in c)
-    b = bound.bit_length() + 1
-    rational = not any(c[1] or c[2] or c[3] for t in tensors for c in t.data.values())
-    mod = None if rational else (1 << 4 * b) + 1
+    if any(c[1] or c[2] or c[3] for t in tensors for c in t.data.values()):
+        return scale, True
     for t in tensors:
-        packed = {
-            k: c0 + (c1 << b) + (c2 << 2 * b) + (c3 << 3 * b)
-            for k, (c0, c1, c2, c3) in t.data.items()
-        }
-        t.data = packed if mod is None else {k: x % mod for k, x in packed.items()}
-    return scale, b, mod
+        t.data = {k: c[0] for k, c in t.data.items()}
+    return scale, False
 
 
-def _unpack(x: int, b: int, mod: int | None) -> tuple[int, int, int, int]:
-    """(x0, x1, x2, x3) of a contracted value packed by _lift."""
-    if mod is not None and x > mod >> 1:
-        x -= mod
-    # adding half to each digit makes them all lie in [0, 2^B)
-    half, low = 1 << (b - 1), (1 << b) - 1
-    x += sum(half << (j * b) for j in range(4))
-    c0, c1, c2, c3 = (((x >> (j * b)) & low) - half for j in range(4))
-    return c0, c2, (c1 - c3) // 2, (c1 + c3) // 2
+def _zeta_width(a: _Tensor, b: _Tensor) -> int:
+    """The digit width W of merging Z[zeta8] tensors a and b, as the module
+    docstring derives it: the bit length of ta * tb * terms plus a sign bit."""
+    ta, tb = (
+        max((abs(w) + abs(x) + abs(y) + abs(z) for w, x, y, z in t.data.values()), default=0)
+        for t in (a, b)
+    )
+    shared = len(set(a.edges) & set(b.edges))
+    return (ta * tb * min(len(a.data), len(b.data), 1 << shared)).bit_length() + 1
+
+
+def _pack(data: dict, width: int) -> dict[int, int]:
+    """Each zeta8 coordinate tuple c as sum_j c_j 2^(j*width), which stands
+    for the packed entry mod 2^(4*width) + 1 without being reduced."""
+    w2, w3 = 2 * width, 3 * width
+    return {
+        k: c0 + (c1 << width) + (c2 << w2) + (c3 << w3)
+        for k, (c0, c1, c2, c3) in data.items()
+    }
+
+
+def _unpack(data: dict, width: int) -> dict[int, tuple[int, int, int, int]]:
+    """The nonzero entries of data mod 2^(4*width) + 1, each as its four
+    signed width-bit digits; every digit must be below 2^(width-1) in
+    absolute value. Adding 2^(width-1) to each digit makes them the
+    unsigned width-bit fields of the residue."""
+    w2, w3 = 2 * width, 3 * width
+    mod, half, low = (1 << 4 * width) + 1, 1 << (width - 1), (1 << width) - 1
+    bias = half + (half << width) + (half << w2) + (half << w3)
+    out = {}
+    for k, v in data.items():
+        r = (v + bias) % mod
+        if r != bias:
+            out[k] = (
+                (r & low) - half,
+                (r >> width & low) - half,
+                (r >> w2 & low) - half,
+                (r >> w3) - half,
+            )
+    return out
 
 
 # The row path's cost, in units of one dict-path product: a streamed entry
@@ -260,9 +291,10 @@ def _row_products(stream, groups: dict, s: int, sb: int, width: int) -> dict[int
     return data
 
 
-def _merge(a: _Tensor, b: _Tensor, mod: int | None) -> tuple[_Tensor, bool]:
-    """Contract the shared edges of a and b; entries are reduced mod `mod`
-    unless it is None. Returns the tensor and whether the row path ran.
+def _merge(a: _Tensor, b: _Tensor, width: int) -> tuple[_Tensor, bool]:
+    """Contract the shared edges of a and b: exact ints when width is 0,
+    else zeta8 coordinate tuples, packed at this width for the merge (see
+    _zeta_width). Returns the tensor and whether the row path ran.
     The smaller tensor's out edges take the low key bits, the larger's the
     bits above them and the shared ones the bits above those. The smaller
     tensor is grouped by its shared bits and the larger one streamed past
@@ -276,13 +308,14 @@ def _merge(a: _Tensor, b: _Tensor, mod: int | None) -> tuple[_Tensor, bool]:
     pos = {e: i for i, e in enumerate(out_edges + sorted(ea & eb))}
     s, sb = len(out_edges), len(out_b)
     mask = (1 << s) - 1
+    da, db = (_pack(a.data, width), _pack(b.data, width)) if width else (a.data, b.data)
     groups: dict[int, list[tuple[int, int]]] = {}
-    for x, v in _remap(b.data, [pos[e] for e in b.edges]):
+    for x, v in _remap(db, [pos[e] for e in b.edges]):
         groups.setdefault(x >> s, []).append((x & mask, v))
-    stream = _remap(a.data, [pos[e] for e in a.edges])
-    width = 0 if mod is not None else _row_width(a, b, groups, sb)
-    if width:
-        return _Tensor(out_edges, _row_products(stream, groups, s, sb, width)), True
+    stream = _remap(da, [pos[e] for e in a.edges])
+    row_width = 0 if width else _row_width(a, b, groups, sb)
+    if row_width:
+        return _Tensor(out_edges, _row_products(stream, groups, s, sb, row_width)), True
     acc: defaultdict[int, int] = defaultdict(int)
     for x, v in stream:
         grp = groups.get(x >> s)
@@ -290,10 +323,7 @@ def _merge(a: _Tensor, b: _Tensor, mod: int | None) -> tuple[_Tensor, bool]:
             oa = x & mask
             for ob, w in grp:
                 acc[oa | ob] += v * w
-    if mod is None:
-        data = {k: v for k, v in acc.items() if v}
-    else:
-        data = {k: r for k, v in acc.items() if (r := v % mod)}
+    data = _unpack(acc, width) if width else {k: v for k, v in acc.items() if v}
     return _Tensor(out_edges, data), False
 
 
@@ -382,7 +412,9 @@ def contract_eval(
     if errors:
         raise ValueError("invalid grid: " + "; ".join(errors))
     if not grid.vertices:
-        return EvalResult(ONE, "contract", {"peak_rank": 0, "packed_merges": 0})
+        return EvalResult(
+            ONE, "contract", {"peak_rank": 0, "packed_merges": 0, "max_width": 0}
+        )
     if plan is None:
         plan = plan_contraction(grid)
     peak = _replay(grid, plan, rank_cap)
@@ -390,11 +422,19 @@ def contract_eval(
         frozenset((v,)): _vertex_tensor(grid.vertices[v], ends)
         for v, ends in _incidence(grid).items()
     }
-    scale, b, mod = _lift(live.values())
-    packed = 0
+    scale, zeta = _lift(live.values())
+    packed = widest = 0
     for ka, kb in plan.steps:
-        live[ka | kb], row_path = _merge(live.pop(ka), live.pop(kb), mod)
+        a, b = live.pop(ka), live.pop(kb)
+        width = _zeta_width(a, b) if zeta else 0
+        live[ka | kb], row_path = _merge(a, b, width)
         packed += row_path
+        widest = max(widest, width)
     (final,) = live.values()
-    value = Scalar.from_coords(*_unpack(final.data.get(0, 0), b, mod), scale)
-    return EvalResult(value, "contract", {"peak_rank": peak, "packed_merges": packed})
+    if zeta:
+        c0, c1, c2, c3 = final.data.get(0, (0, 0, 0, 0))
+    else:
+        c0, c1, c2, c3 = final.data.get(0, 0), 0, 0, 0
+    value = Scalar.from_coords(c0, c2, (c1 - c3) // 2, (c1 + c3) // 2, scale)
+    stats = {"peak_rank": peak, "packed_merges": packed, "max_width": widest}
+    return EvalResult(value, "contract", stats)

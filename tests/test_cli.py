@@ -215,6 +215,20 @@ def test_gadget_chain_length_cap():
     assert r.returncode == 2 and "input error" in r.stderr
 
 
+def test_torus_side_cap_refuses_before_building(tmp_path):
+    from sixvertex.cli import MAX_TORUS_N
+
+    out = tmp_path / "big.json"
+    for n in ("100000", str(MAX_TORUS_N + 1)):
+        r = subprocess.run(
+            BASE + ["torus", "--n", n, "--params", *["1"] * 6, "-o", str(out)],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=30,
+        )
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == f"refused: torus side {n} exceeds the cap {MAX_TORUS_N}\n"
+        assert not out.exists()
+
+
 def test_interpolate_command(tmp_path):
     from fractions import Fraction as Q
 

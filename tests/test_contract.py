@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -159,8 +159,9 @@ def test_kernel_exact_on_negative_coordinates():
 
 
 def test_kernel_digits_near_the_bound_on_a_4x4_torus(monkeypatch):
-    """Six weights with large zeta8 coefficients: the decoded digits use all
-    but a few of their B - 1 bits, and Z equals the transfer matrix's."""
+    """Six weights with large zeta8 coefficients: every merge's output
+    digits fit below 2^(W-1) for that merge's W, some use all but a few of
+    those bits, and Z equals the transfer matrix's."""
     from sixvertex.evaluate import torus_transfer_matrix_value
 
     weights = (
@@ -175,30 +176,35 @@ def test_kernel_digits_near_the_bound_on_a_4x4_torus(monkeypatch):
     seen = []
     unpack = contract._unpack
 
-    def spy(x, b, mod):
-        x0, x1, x2, x3 = unpack(x, b, mod)
-        seen.append((b, max(abs(c).bit_length() for c in (x0, x2 + x3, x1, x3 - x2))))
-        return x0, x1, x2, x3
+    def spy(data, width):
+        out = unpack(data, width)
+        bits = max((abs(c).bit_length() for cs in out.values() for c in cs), default=0)
+        seen.append((width, bits))
+        return out
 
     monkeypatch.setattr(contract, "_unpack", spy)
     assert contract_eval(build_torus(4, p)).value == torus_transfer_matrix_value(4, p)
-    ((b, bits),) = seen
-    assert b - 16 <= bits < b
+    assert len(seen) == 15  # one per merge
+    assert all(bits < width for width, bits in seen)
+    assert any(width - 16 <= bits for width, bits in seen)
 
 
 def test_unpack_at_the_digit_limits():
-    """Digits of +-(2^(B-1) - 1) and 0 survive packing mod 2^(4B) + 1, and
-    exact ints (N None) decode the same way."""
-    b = 9
-    mod = (1 << 4 * b) + 1
-    top = (1 << (b - 1)) - 1
-    for c0 in (-top, 0, top):
-        for c2 in (-top, top):
-            for c1, c3 in ((top, -top), (-top, top), (top - 1, 0), (-top, -top)):
-                x = c0 + (c1 << b) + (c2 << 2 * b) + (c3 << 3 * b)
-                want = (c0, c2, (c1 - c3) // 2, (c1 + c3) // 2)
-                assert contract._unpack(x % mod, b, mod) == want
-                assert contract._unpack(x, b, None) == want
+    """Digits of +-(2^(W-1) - 1) and 0 survive _pack and _unpack at several
+    widths W, whether the packed int is reduced mod 2^(4W) + 1, left
+    unreduced, or off by multiples of the modulus, as a sum of products is;
+    a residue of 0 is dropped."""
+    for width in (1, 2, 7, 8, 9, 16, 24, 61, 64, 200):
+        mod = (1 << 4 * width) + 1
+        top = (1 << (width - 1)) - 1
+        digits = sorted({-top, 0, top, max(top - 1, 0)})
+        data = dict(enumerate(product(digits, repeat=4)))
+        want = {k: c for k, c in data.items() if any(c)}
+        packed = contract._pack(data, width)
+        assert contract._unpack(packed, width) == want, width
+        assert contract._unpack({k: x % mod for k, x in packed.items()}, width) == want
+        shifted = {k: x + (k - 40) * mod + (mod << 4 * width) for k, x in packed.items()}
+        assert contract._unpack(shifted, width) == want, width
 
 
 # rational tables only, so every merge may take the row path
@@ -301,6 +307,111 @@ def test_row_slots_at_the_width_limits(monkeypatch, n_groups, ma, mb, width):
         0: top, 1: -top, 2: top - one, 4: -one, 5: one,
         8: -top, 9: top, 10: one - top, 12: one, 13: -one,
     }
+
+
+# Q(i, sqrt2) weights, so every merge packs zeta8 coordinates; two have
+# coefficients of 30-40 bits
+ZETA_POOL = tuple(
+    map(
+        parse_scalar,
+        (
+            "0", "1", "-1", "i", "(1)r2", "-(1i)r2", "1/3+(1/5+i)r2",
+            "123456789-987654321i+(-55555+77777i)r2", "(-424242424242+1i)r2",
+        ),
+    )
+)
+
+
+def zeta_corpus():
+    """Seeded Q(i, sqrt2) grids of 1-7 vertices, six-vertex and general
+    tables, and the shapes a per-merge width must get right: a grid with
+    an all-zero table, a grid whose Z cancels to 0, and one whose first
+    merge has an empty output (two tables nonzero only at 0000 share an
+    edge, which forces a 1 at one end), so the next merge gets an empty
+    input."""
+    from sixvertex.signature import Signature
+
+    rng = random.Random("zeta-width")
+    grids = []
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        if trial % 3 == 0:
+            g = random_grid(rng, n, from_six_vertex(random_params(rng, pool=ZETA_POOL)))
+        else:
+            sigs = {v: Signature(4, [rng.choice(ZETA_POOL) for _ in range(16)]) for v in range(n)}
+            g = random_grid(rng, n, signatures=sigs)
+        grids.append(g)
+    zero = Signature(4, [Scalar(0)] * 16)
+    grids.append(random_grid(rng, 3, signatures={0: zero, 1: grids[4].vertices[0], 2: zero}))
+    units = tuple(map(parse_scalar, ("1", "-1", "i", "(1)r2", "-(1)r2")))
+    for _ in range(500):
+        sigs = {v: Signature(4, [rng.choice(units) for _ in range(16)]) for v in range(3)}
+        g = random_grid(rng, 3, signatures=sigs)
+        if not brute_force_eval(g).value:
+            grids.append(g)
+            break
+    at_0000 = Signature(4, [ZETA_POOL[7]] + [Scalar(0)] * 15)
+    pairs = ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2))
+    slots = {0: 0, 1: 0, 2: 0}
+    edges = []
+    for u, v in pairs:
+        edges.append(((u, slots[u]), (v, slots[v])))
+        slots[u] += 1
+        slots[v] += 1
+    sigs = {0: at_0000, 1: at_0000, 2: grids[4].vertices[0]}
+    grids.append(SignatureGrid.build(sigs, edges).assert_valid())
+    return grids
+
+
+def test_zeta_widths_match_brute_force(monkeypatch):
+    merges = []
+    merge = contract._merge
+
+    def spy(a, b, width):
+        sizes = (len(a.data), len(b.data))
+        out, row_path = merge(a, b, width)
+        merges.append((*sizes, len(out.data), width))
+        return out, row_path
+
+    monkeypatch.setattr(contract, "_merge", spy)
+    grids = zeta_corpus()
+    loops = parallel = large = cancelled = all_zero = 0
+    for i, g in enumerate(grids):
+        want = brute_force_eval(g).value
+        assert contract_eval(g).value == want, i
+        pairs = [frozenset((p.vertex, q.vertex)) for p, q in g.edges]
+        loops += any(len(pair) == 1 for pair in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        large += any(
+            abs(c).bit_length() > 30 for sig in g.vertices.values() for x in sig.values
+            for c in x.coords[:4]
+        )
+        all_zero += any(not any(sig.values) for sig in g.vertices.values())
+        cancelled += not want and all(any(sig.values) for sig in g.vertices.values())
+    assert len(grids) >= 150
+    assert loops and parallel and large and cancelled and all_zero
+    assert all(width > 0 for *_, width in merges)
+    assert any(la and lb and not out for la, lb, out, _ in merges)  # empty output
+    assert any(not (la and lb) for la, lb, *_ in merges)  # empty input
+
+
+def test_max_width_records_the_widest_merge():
+    """max_width is the widest per-merge W: 0 when every table is rational,
+    and on a sqrt2 torus at most the one base the old global bound
+    prod_v sum_x |c(f_v(x))|_1 gave the whole contraction."""
+    from math import prod
+
+    r2 = SV(*map(parse_scalar, ("(1)r2", "1", "2", "1", "1", "1")))
+    torus = build_torus(4, r2)
+    tensors = [
+        contract._vertex_tensor(torus.vertices[v], ends)
+        for v, ends in contract._incidence(torus).items()
+    ]
+    assert contract._lift(tensors)[1]
+    bound = prod(sum(sum(map(abs, c)) for c in t.data.values()) for t in tensors)
+    width = contract_eval(torus).stats["max_width"]
+    assert 0 < width <= bound.bit_length() + 1
+    assert contract_eval(build_torus(4, ICE)).stats["max_width"] == 0
 
 
 def bit_loop(key, dst):
