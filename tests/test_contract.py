@@ -177,29 +177,30 @@ def test_kernel_digits_near_the_bound_on_a_4x4_torus(monkeypatch):
     unpack = contract._unpack
 
     def spy(data, width):
-        out = unpack(data, width)
+        out, norm = unpack(data, width)
         bits = max((abs(c).bit_length() for cs in out.values() for c in cs), default=0)
-        seen.append((width, bits))
-        return out
+        l1 = max((sum(map(abs, c)) for c in out.values()), default=0)
+        seen.append((width, bits, norm == l1))
+        return out, norm
 
     monkeypatch.setattr(contract, "_unpack", spy)
     assert contract_eval(build_torus(4, p)).value == torus_transfer_matrix_value(4, p)
     assert len(seen) == 15  # one per merge
-    assert all(bits < width for width, bits in seen)
-    assert any(width - 16 <= bits for width, bits in seen)
+    assert all(bits < width and norm_ok for width, bits, norm_ok in seen)
+    assert any(width - 16 <= bits for width, bits, _ in seen)
 
 
 def test_unpack_at_the_digit_limits():
     """Digits of +-(2^(W-1) - 1) and 0 survive _pack and _unpack at several
     widths W, whether the packed int is reduced mod 2^(4W) + 1, left
     unreduced, or off by multiples of the modulus, as a sum of products is;
-    a residue of 0 is dropped."""
+    a residue of 0 is dropped, and the norm is the largest L1 norm kept."""
     for width in (1, 2, 7, 8, 9, 16, 24, 61, 64, 200):
         mod = (1 << 4 * width) + 1
         top = (1 << (width - 1)) - 1
         digits = sorted({-top, 0, top, max(top - 1, 0)})
         data = dict(enumerate(product(digits, repeat=4)))
-        want = {k: c for k, c in data.items() if any(c)}
+        want = {k: c for k, c in data.items() if any(c)}, 4 * top
         packed = contract._pack(data, width)
         assert contract._unpack(packed, width) == want, width
         assert contract._unpack({k: x % mod for k, x in packed.items()}, width) == want
@@ -297,8 +298,8 @@ def test_row_slots_at_the_width_limits(monkeypatch, n_groups, ma, mb, width):
         for row, sign in enumerate((1, (-1) ** g, -1, -((-1) ** g))):
             a_data[g | row << 3] = ma * sign
     a = contract._Tensor((10, 11, 12, 30, 31), a_data)
-    merged, row_path = contract._merge(a, b, None)
-    assert row_path and widths == [width]
+    merged, how = contract._merge(a, b, None)
+    assert how == "row" and widths == [width]
     one, top = ma * mb, ma * mb * n_groups
     assert top.bit_length() + 1 <= width < top.bit_length() + 9
     # key bits: 20, 21, then 30, 31; slot 2 of rows 1 and 3 cancels to 0
@@ -367,11 +368,11 @@ def test_zeta_widths_match_brute_force(monkeypatch):
     merges = []
     merge = contract._merge
 
-    def spy(a, b, width):
+    def spy(a, b, width, partner=None):
         sizes = (len(a.data), len(b.data))
-        out, row_path = merge(a, b, width)
+        out, how = merge(a, b, width, partner)
         merges.append((*sizes, len(out.data), width))
-        return out, row_path
+        return out, how
 
     monkeypatch.setattr(contract, "_merge", spy)
     grids = zeta_corpus()
@@ -414,6 +415,128 @@ def test_max_width_records_the_widest_merge():
     assert contract_eval(build_torus(4, ICE)).stats["max_width"] == 0
 
 
+def prune_corpus():
+    """Seeded grids of 1-7 vertices: general and six-vertex tables over the
+    rational and Q(i, sqrt2) pools, six-vertex tables with one zero weight
+    (w5) and with two (w1, w4), as the hard tuples have, and grids with an
+    all-zero table, whose tensor is a partner no entry can meet."""
+    from sixvertex.signature import Signature
+
+    rng = random.Random("partner-filter")
+    grids = []
+    for pool in (ROW_POOL, ZETA_POOL):
+        for trial in range(50):
+            n = rng.randint(1, 7)
+            if trial % 2:
+                g = random_grid(rng, n, from_six_vertex(random_params(rng, pool=pool)))
+            else:
+                sigs = {v: Signature(4, [rng.choice(pool) for _ in range(16)]) for v in range(n)}
+                g = random_grid(rng, n, signatures=sigs)
+            grids.append(g)
+    nonzero = [x for x in ROW_POOL + ZETA_POOL if x]
+    for trial in range(80):
+        w = [rng.choice(nonzero) for _ in range(6)]
+        for i in (4,) if trial % 2 else (0, 3):
+            w[i] = Scalar(0)
+        grids.append(random_grid(rng, rng.randint(1, 7), from_six_vertex(SV(*w))))
+    zero = Signature(4, [Scalar(0)] * 16)
+    for n in (3, 4, 5):
+        sigs = {v: grids[4 * v + 1].vertices[0] for v in range(n)}
+        sigs[n - 1] = zero
+        grids.append(random_grid(rng, n, signatures=sigs))
+    return grids
+
+
+def spy_merges(monkeypatch):
+    """Record (how, output size) of every _merge."""
+    merges = []
+    merge = contract._merge
+
+    def spy(a, b, width, partner=None):
+        out, how = merge(a, b, width, partner)
+        merges.append((how, len(out.data)))
+        return out, how
+
+    monkeypatch.setattr(contract, "_merge", spy)
+    return merges
+
+
+def test_partner_filter_is_exact(monkeypatch):
+    """With the filter forced on every merge whose partner is built, and
+    with it never taken, Z equals brute force on every grid; forced, some
+    merge prunes, and some merge's pruning empties its output."""
+    merges = spy_merges(monkeypatch)
+    grids = prune_corpus()
+    sqrt2 = one_zero = two_zero = emptied = pruned = 0
+    for i, g in enumerate(grids):
+        want = brute_force_eval(g).value
+        for force in (True, False):
+            monkeypatch.setattr(contract, "_prune_pays", lambda *args: force)
+            merges.clear()
+            res = contract_eval(g)
+            assert res.value == want, (i, force)
+            assert res.stats["pruned_merges"] == sum(how == "pruned" for how, _ in merges)
+            if force:
+                pruned += res.stats["pruned_merges"]
+                emptied += any(how == "pruned" and not size for how, size in merges)
+            else:
+                assert res.stats["pruned_merges"] == 0
+        sqrt2 += any(x.coords[2] or x.coords[3] for s in g.vertices.values() for x in s.values)
+        # a six-vertex table is zero off the six inputs of weight 2
+        zeros = {
+            sum(not x for x in s.values)
+            for s in g.vertices.values()
+            if not any(x for k, x in enumerate(s.values) if k.bit_count() != 2)
+        }
+        one_zero += 11 in zeros
+        two_zero += 12 in zeros
+    assert len(grids) >= 180
+    assert sqrt2 and one_zero and two_zero
+    assert pruned and emptied
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [("1/2", "1/2", "3", "3", "0", "2"), ("0", "2", "3", "0", "1/2", "3/2")],
+    ids=["one-zero", "two-zero"],
+)
+def test_partner_filter_on_zero_weight_tori(monkeypatch, weights):
+    """4x4 tori against the transfer matrix, and 6x6 tori under the greedy
+    and the sequential plan against the run that never prunes, with the
+    filter forced on and off."""
+    from sixvertex.evaluate import torus_transfer_matrix_value
+
+    p = SV(*map(parse_scalar, weights))
+    t4, t6 = build_torus(4, p), build_torus(6, p)
+    plans = (plan_contraction(t6), sequential_plan(t6))
+    monkeypatch.setattr(contract, "_prune_pays", lambda *args: False)
+    want6 = [contract_eval(t6, plan=plan).value for plan in plans]
+    assert want6[0] == want6[1] != 0
+    pruned = 0
+    for force in (True, False):
+        monkeypatch.setattr(contract, "_prune_pays", lambda *args: force)
+        res = contract_eval(t4)
+        assert res.value == torus_transfer_matrix_value(4, p), force
+        pruned += res.stats["pruned_merges"]
+        for plan, want in zip(plans, want6):
+            res = contract_eval(t6, plan=plan)
+            assert res.value == want, force
+            pruned += res.stats["pruned_merges"]
+    assert pruned
+
+
+def test_pruned_merges_counts_the_partner_filter():
+    """Under the measured gate the filter prunes the one-zero 12x12 torus's
+    sparse merges and never an ice torus's merge; the row path and the
+    peak rank are as they were without it."""
+    p = SV(*map(parse_scalar, ("1/2", "1/2", "3", "3", "0", "2")))
+    assert contract_eval(build_torus(12, p)).stats["pruned_merges"] > 0
+    assert contract_eval(build_torus(8, ICE)).stats == {
+        "peak_rank": 16, "packed_merges": 13, "pruned_merges": 0, "max_width": 0,
+    }
+    assert contract_eval(SignatureGrid({}, ())).stats["pruned_merges"] == 0
+
+
 def bit_loop(key, dst):
     out = 0
     for src, d in enumerate(dst):
@@ -444,6 +567,8 @@ def test_ice_torus_10_exact():
     res = contract_eval(build_torus(10, ICE))
     assert res.value == Scalar(16178049740086515288)
     assert res.stats["peak_rank"] == 20
+    assert res.stats["packed_merges"] == 22
+    assert res.stats["pruned_merges"] == 0
 
 
 def test_packed_merges_counts_the_row_path():
