@@ -4,7 +4,12 @@ Each vertex becomes a sparse tensor over its open edges (self-loops folded
 at build time, the neq_2 on every edge folded into the second end as a bit
 flip). Contraction follows a plan of pairwise merges; the default plan is a
 greedy minimum-resulting-open-indices heuristic with deterministic
-tie-breaking, so results and plans are reproducible.
+tie-breaking, so results and plans are reproducible. The planner keeps only
+the pairs of tensors that share an edge in its heap, a few entries per
+edge. A pair that shares none has as its rank the sum of the two tensors'
+open-edge counts, so it is searched for only when the two smallest counts
+could tie or beat the heap's top; the plan is the one a heap of all pairs
+gives. Vertices with the same signature and port layout share one tensor.
 
 Every merge multiplies plain Python ints. Each vertex tensor is scaled by
 the lcm D_v of its denominators, so an entry is x0 + x1*i + (x2 + x3*i)*sqrt2
@@ -65,11 +70,11 @@ entries each to 4,096.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .evaluate import EvalResult, TooLargeError
 from .grid import SignatureGrid, validate
@@ -177,15 +182,15 @@ def _remap(data: dict, dst: list[int]):
     )
 
 
-def _lift(tensors) -> tuple[int, bool]:
+def _lift(tensors) -> tuple[list[int], bool]:
     """Turn every entry into exact ints, in place, as the module docstring
     describes: its zeta8 coordinates (c0, c1, c2, c3), with the tensor's
     norm, or the int c0 alone when every table is rational. Returns
-    (D, whether any table is not)."""
-    scale = 1
+    (each tensor's D_v, whether any table is not rational)."""
+    dens = []
     for t in tensors:
         den = lcm(*(s.coords[4] for s in t.data.values()))
-        scale *= den
+        dens.append(den)
         zeta = {}
         for k, s in t.data.items():
             x0, x1, x2, x3, d = s.coords
@@ -195,10 +200,10 @@ def _lift(tensors) -> tuple[int, bool]:
     if any(c[1] or c[2] or c[3] for t in tensors for c in t.data.values()):
         for t in tensors:
             t.norm = max((sum(map(abs, c)) for c in t.data.values()), default=0)
-        return scale, True
+        return dens, True
     for t in tensors:
         t.data = {k: c[0] for k, c in t.data.items()}
-    return scale, False
+    return dens, False
 
 
 def _zeta_width(a: _Tensor, b: _Tensor) -> int:
@@ -464,40 +469,118 @@ def _merge(a: _Tensor, b: _Tensor, width: int, partner: _Tensor | None = None):
     return _Tensor(out_edges, {k: v for k, v in acc.items() if v}), how
 
 
+def _best_apart(live, pops, low, nbrs, bound):
+    """The pair of live tensors that share no edge with the least key
+    (rank, lo, hi), as (rank, t, u), if its rank pops[t] + pops[u] is at
+    most bound; else None. For each rank from the least, the tensors are
+    scanned by low: the first one with a partner of popcount rank - pops[t]
+    and a higher low that is not its neighbour is lo, and the first such
+    partner is hi. A tensor skips at most its neighbours before it finds
+    one, so each rank costs O(L log L) for L live tensors."""
+    order = sorted(live, key=low.__getitem__)
+    by_pop = {}
+    for t in order:
+        by_pop.setdefault(pops[t], []).append(t)
+    for rank in range(2 * min(by_pop), bound + 1):
+        for t in order:
+            us = by_pop.get(rank - pops[t])
+            if us:
+                near = nbrs[t]
+                for j in range(bisect_right(us, low[t], key=low.__getitem__), len(us)):
+                    if us[j] not in near:
+                        return rank, t, us[j]
+    return None
+
+
 def plan_contraction(grid: SignatureGrid) -> ContractionPlan:
     """Greedy: always merge the pair minimizing the resulting open-index
-    count, ties broken by lowest involved vertex ids.
+    count, ties broken by lowest involved vertex ids. The grid must be
+    valid; contract_eval checks it first.
 
     The key (rank, lo, hi) of a pair never changes while both tensors live,
-    and (lo, hi) is unique among live pairs, so one heap of pair keys finds
-    every step: each merge pushes the new tensor's pairs and stale entries
-    are skipped on pop, O(V^2 log V) in all. Tensors are numbered in the
-    order they appear (grid.vertices order, then merges), and each step
-    names the earlier one first."""
-    masks = list(_open_masks(grid).items())
-    keys = [frozenset((v,)) for v, _ in masks]
-    low = [v for v, _ in masks]
-    live = {t: m for t, (_, m) in enumerate(masks)}
-    peak = max((m.bit_count() for m in live.values()), default=0)
-    heap = [
-        ((ma ^ mb).bit_count(), *sorted((low[a], low[b])), a, b)
-        for (a, ma), (b, mb) in combinations(live.items(), 2)
-    ]
+    and (lo, hi) is unique among live pairs. The pairs that share an open
+    edge sit in one heap of keys: the first ones are read off each edge's
+    two holders, and a merge pushes only the new tensor's pairs with its
+    neighbours, so the heap receives at most one entry per edge and one
+    per neighbour of each merged tensor; stale entries are skipped on pop.
+    A pair that shares no edge has rank pops[t] + pops[u], at least the sum
+    of the two smallest live popcounts; only when that sum could tie or
+    beat the heap's top does _best_apart search those pairs, and its pair
+    is taken if its key is the smaller. Tensors are numbered in the order
+    they appear (grid.vertices order, then merges), and each step names the
+    earlier one first."""
+    index = {v: t for t, v in enumerate(grid.vertices)}
+    n = len(index)
+    low = list(index)
+    mask = [0] * n  # open edges
+    nbrs = [set() for _ in range(n)]  # live tensors sharing an open edge
+    for e, (p, q) in enumerate(grid.edges):
+        a, b = index[p.vertex], index[q.vertex]
+        if a != b:
+            mask[a] |= 1 << e
+            mask[b] |= 1 << e
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    pops = [m.bit_count() for m in mask]
+    counts = {}  # popcount -> live tensors that have it
+    for p in pops:
+        counts[p] = counts.get(p, 0) + 1
+    peak = max(pops, default=0)
+    heap = []
+    for a in range(n):
+        la, ma = low[a], mask[a]
+        for b in nbrs[a]:
+            if a < b:
+                lb, r = low[b], (ma ^ mask[b]).bit_count()
+                heap.append((r, la, lb, a, b) if la < lb else (r, lb, la, a, b))
     heapify(heap)
+    keys = [frozenset((v,)) for v in low]
+    live = set(range(n))
     steps = []
-    while len(live) > 1:
-        rank, _, _, a, b = heappop(heap)
-        if a not in live or b not in live:
-            continue
-        merged = live.pop(a) ^ live.pop(b)
-        steps.append((keys[a], keys[b]))
-        new = len(keys)
-        keys.append(keys[a] | keys[b])
-        low.append(min(low[a], low[b]))
+    for new in range(n, 2 * n - 1):
+        while heap and (heap[0][3] not in live or heap[0][4] not in live):
+            heappop(heap)
+        bound = heap[0][0] if heap else 2 * max(counts)
+        p1, *rest = sorted(counts)
+        pick = None
+        if p1 + (p1 if counts[p1] > 1 else rest[0]) <= bound:
+            pick = _best_apart(live, pops, low, nbrs, bound)
+            if pick and heap:
+                r, t, u = pick
+                if (r, *sorted((low[t], low[u]))) > heap[0][:3]:
+                    pick = None
+        if pick is None:
+            rank, _, _, a, b = heappop(heap)
+        else:
+            rank, a, b = pick
+            a, b = min(a, b), max(a, b)
+        live.discard(a)
+        live.discard(b)
+        for p in (pops[a], pops[b]):
+            if counts[p] == 1:
+                del counts[p]
+            else:
+                counts[p] -= 1
+        counts[rank] = counts.get(rank, 0) + 1
+        pops.append(rank)
         peak = max(peak, rank)
-        for t, m in live.items():
-            heappush(heap, ((m ^ merged).bit_count(), *sorted((low[t], low[new])), t, new))
-        live[new] = merged
+        steps.append((keys[a], keys[b]))
+        keys.append(keys[a] | keys[b])
+        lo = min(low[a], low[b])
+        low.append(lo)
+        m = mask[a] ^ mask[b]
+        mask.append(m)
+        near = nbrs[a] | nbrs[b]
+        near -= {a, b}
+        nbrs.append(near)
+        for c in near:
+            nc = nbrs[c]
+            nc.discard(a)
+            nc.discard(b)
+            nc.add(new)
+            lc, r = low[c], (mask[c] ^ m).bit_count()
+            heappush(heap, (r, lc, lo, c, new) if lc < lo else (r, lo, lc, c, new))
+        live.add(new)
     return ContractionPlan(tuple(steps), peak)
 
 
@@ -557,11 +640,28 @@ def contract_eval(
     if plan is None:
         plan = plan_contraction(grid)
     peak = _replay(grid, plan, rank_cap)
-    live = {
-        frozenset((v,)): _vertex_tensor(grid.vertices[v], ends)
-        for v, ends in _incidence(grid).items()
-    }
-    scale, zeta = _lift(live.values())
+    # one tensor per distinct signature and port layout (each edge's
+    # (slot, flip) ends, in edge-id order), built and lifted once; the
+    # vertices that share it share its entry dict, which is safe because no
+    # merge mutates an input's data
+    shared: dict[tuple, _Tensor] = {}
+    copies = []
+    live = {}
+    for v, ends in _incidence(grid).items():
+        sig = grid.vertices[v]
+        layout = (sig, *map(tuple, ends.values()))
+        first = shared.get(layout)
+        if first is None:
+            t = shared[layout] = _vertex_tensor(sig, ends)
+        else:
+            t = _Tensor([e for e, at in ends.items() if len(at) == 1], first.data)
+            copies.append((t, first))
+        live[frozenset((v,))] = t
+    dens, zeta = _lift(shared.values())
+    den_of = dict(zip(shared.values(), dens))
+    scale = prod(dens) * prod(den_of[first] for _, first in copies)
+    for t, first in copies:
+        t.data, t.norm = first.data, first.norm
     # each cluster is merged exactly once: partner_of names the tensor it
     # meets there, which is final once it is live
     partner_of = {}

@@ -374,13 +374,15 @@ def solve(
     edge_cap: int = DEFAULT_EDGE_CAP,
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> SolveResult:
-    errors = validate(grid)
-    if errors:
-        raise ValueError("invalid grid: " + "; ".join(errors))
+    # brute force and contraction validate the grid themselves, with the
+    # same message
     if method == "brute":
         return SolveResult(brute_force_eval(grid, edge_cap).value, "brute")
     if method == "contract":
         return SolveResult(contract_eval(grid, rank_cap=rank_cap).value, "contract")
+    errors = validate(grid)
+    if errors:
+        raise ValueError("invalid grid: " + "; ".join(errors))
     if method == "auto":
         tried = tuple(_CLASS_METHODS)
     elif method in _CLASS_METHODS:

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 import pytest
@@ -744,6 +746,109 @@ def test_torus_peak_ranks(w, length, peak):
     assert len(plan.steps) == w * length - 1
     if w * length <= 64:
         assert plan == reference_greedy(g)
+
+
+def heap_reference(grid, seen=None):
+    """The greedy planner with a heap entry for every pair of live tensors,
+    adjacent or not, O(V^2 log V); plan_contraction must return its plans.
+    seen, if given, counts the steps whose pair shares no edge ("apart")
+    and those where another live pair has the same rank, so the tie-break
+    on (lo, hi) decides ("tie")."""
+    masks = list(contract._open_masks(grid).items())
+    keys = [frozenset((v,)) for v, _ in masks]
+    low = [v for v, _ in masks]
+    live = {t: m for t, (_, m) in enumerate(masks)}
+    peak = max((m.bit_count() for m in live.values()), default=0)
+    heap = [
+        ((ma ^ mb).bit_count(), *sorted((low[a], low[b])), a, b)
+        for (a, ma), (b, mb) in combinations(live.items(), 2)
+    ]
+    heapify(heap)
+    steps = []
+    while len(live) > 1:
+        rank, _, _, a, b = heappop(heap)
+        if a not in live or b not in live:
+            continue
+        if seen is not None:
+            seen["apart"] += not live[a] & live[b]
+            while heap and (heap[0][3] not in live or heap[0][4] not in live):
+                heappop(heap)
+            seen["tie"] += bool(heap) and heap[0][0] == rank
+        merged = live.pop(a) ^ live.pop(b)
+        steps.append((keys[a], keys[b]))
+        new = len(keys)
+        keys.append(keys[a] | keys[b])
+        low.append(min(low[a], low[b]))
+        peak = max(peak, rank)
+        for t, m in live.items():
+            heappush(heap, ((m ^ merged).bit_count(), *sorted((low[t], low[new])), t, new))
+        live[new] = merged
+    return ContractionPlan(tuple(steps), peak)
+
+
+def relabelled(grid, rng):
+    """grid with its vertices renamed at random and inserted in shuffled
+    order."""
+    labels = dict(zip(grid.vertices, rng.sample(range(-5000, 5000), len(grid.vertices))))
+    order = list(grid.vertices)
+    rng.shuffle(order)
+    return SignatureGrid(
+        {labels[v]: grid.vertices[v] for v in order},
+        tuple(
+            (Port(labels[p.vertex], p.slot), Port(labels[q.vertex], q.slot))
+            for p, q in grid.edges
+        ),
+    ).assert_valid()
+
+
+def disjoint_union(parts):
+    """The grids side by side, part i's vertex v renamed v + 10000 * i."""
+    return SignatureGrid(
+        {v + 10000 * i: s for i, g in enumerate(parts) for v, s in g.vertices.items()},
+        tuple(
+            (Port(p.vertex + 10000 * i, p.slot), Port(q.vertex + 10000 * i, q.slot))
+            for i, g in enumerate(parts)
+            for p, q in g.edges
+        ),
+    ).assert_valid()
+
+
+def test_plan_matches_the_all_pairs_heap():
+    """plan_contraction keeps only adjacent pairs in its heap, and returns
+    the plans of the all-pairs heap on tori, relabelled tori, relabelled
+    multigraphs and disconnected grids with closed tensors; the corpus has
+    steps that merge a pair sharing no edge and steps the tie-break
+    decides."""
+    sig = from_six_vertex(ICE)
+    loop_only = SignatureGrid({0: sig}, ((Port(0, 0), Port(0, 2)), (Port(0, 1), Port(0, 3))))
+    shapes = [(8, 8), (7, 7), (6, 10), (12, 12), (6, 24), (10, 10), (5, 20)]
+    grids = [rectangular_torus(w, length) for w, length in shapes]
+    for n in (8, 10, 12, 14, 16):
+        for seed in range(3):
+            grids.append(relabelled(build_torus(n, ICE), random.Random(f"torus/{n}/{seed}")))
+    rng = random.Random(28)
+    grids += [relabelled_multigraph(rng, rng.randint(1, 30)) for _ in range(80)]
+    for _ in range(20):
+        parts = [relabelled_multigraph(rng, rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+        parts += [loop_only] * rng.randint(1, 2)
+        rng.shuffle(parts)
+        grids.append(disjoint_union(parts))
+    seen = Counter()
+    for i, g in enumerate(grids):
+        assert plan_contraction(g) == heap_reference(g, seen), i
+    assert seen["apart"] and seen["tie"]
+
+
+def test_heap_receives_a_few_entries_per_edge(monkeypatch):
+    """On the 32x32 torus the heap gets at most 4 entries per edge, counting
+    the initial heap; the all-pairs heap got V^2/2, about 520,000."""
+    g = build_torus(32, ICE)
+    entries = []
+    monkeypatch.setattr(contract, "heapify", lambda h: (entries.extend(h), heapify(h)))
+    monkeypatch.setattr(contract, "heappush", lambda h, x: (entries.append(x), heappush(h, x)))
+    plan = plan_contraction(g)
+    assert plan.peak_rank == 64 and len(plan.steps) == 32 * 32 - 1
+    assert len(entries) <= 4 * len(g.edges)
 
 
 def test_s4_rewiring_invariance():

@@ -298,6 +298,37 @@ class TestDispatch:
             r = solve(t, method=method)
             assert r.class_used == label and r.value == want
 
+    def test_validates_the_grid_once(self, monkeypatch):
+        """solve(brute) and solve(contract) validate the grid once, in the
+        method they hand it to, and an invalid grid gets the same message
+        whichever method is asked for."""
+        import sixvertex.contract as contract
+        import sixvertex.evaluate as evaluate
+        import sixvertex.solvers as solvers
+        from sixvertex.grid import validate
+
+        calls = []
+
+        def counted(grid):
+            calls.append(grid)
+            return validate(grid)
+
+        for module in (solvers, contract, evaluate):
+            monkeypatch.setattr(module, "validate", counted)
+        t = build_torus(2, SV(1, 0, 1, 0, 1, 0))
+        for method in ("brute", "contract"):
+            calls.clear()
+            solve(t, method=method)
+            assert len(calls) == 1, method
+        bad = SignatureGrid(t.vertices, t.edges[:-1])
+        messages = set()
+        for method in solvers.METHODS:
+            with pytest.raises(ValueError) as err:
+                solve(bad, method=method)
+            messages.add(str(err.value))
+        (message,) = messages
+        assert message.startswith("invalid grid: ") and "not on any edge" in message
+
     def test_hard_above_cap_refused(self):
         t = build_torus(4, SV(1, 1, 1, 1, 1, 1))  # 32 edges, hard params
         with pytest.raises(TooLargeError):
