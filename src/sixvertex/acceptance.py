@@ -302,7 +302,7 @@ def criterion_8_ice_constant(rng: random.Random):
         z = contract_eval(torus).value
         if n < 8 and contract_eval(torus, plan=sequential_plan(torus)).value != z:
             return False, f"n={n}: the sequential and greedy plans give different Z"
-        w[n] = float(approx_complex(z).real) ** (1.0 / (n * n))
+        w[n] = float(approx_complex(z)[0]) ** (1.0 / (n * n))
     absolute = abs(w[8] - LIEB)
     trend_ok = abs(w[8] - 1.5396007) <= abs(w[4] - 1.5396007)
     detail = (

@@ -123,15 +123,25 @@ def signature_to_json(f: Signature):
     }
 
 
+def _json_list(obj, key):
+    """obj[key], which must be a JSON list: a string would be read one
+    character at a time."""
+    vals = obj[key]
+    if not isinstance(vals, list):
+        raise GridError(f"{key} must hold a JSON list, got {type(vals).__name__}")
+    return vals
+
+
 def signature_from_json(obj) -> Signature:
     if "six_vertex" in obj:
-        vals = obj["six_vertex"]
+        vals = _json_list(obj, "six_vertex")
         if len(vals) != 6:
             raise GridError("six_vertex needs exactly 6 scalars")
         return from_six_vertex(
             SixVertexParams(*(parse_scalar(v) for v in vals))
         )
-    return Signature(obj["arity"], [parse_scalar(v) for v in obj["values"]])
+    values = _json_list(obj, "values")
+    return Signature(obj["arity"], [parse_scalar(v) for v in values])
 
 
 def grid_to_json(grid: SignatureGrid):
@@ -148,10 +158,12 @@ def grid_to_json(grid: SignatureGrid):
 
 def grid_from_json(obj) -> SignatureGrid:
     try:
-        vertices = {
-            int(item["id"]): signature_from_json(item["signature"])
-            for item in obj["vertices"]
-        }
+        vertices = {}
+        for item in obj["vertices"]:
+            v = int(item["id"])
+            if v in vertices:
+                raise GridError(f"duplicate vertex id {v}")
+            vertices[v] = signature_from_json(item["signature"])
         edges = tuple(
             (Port(int(e[0][0]), int(e[0][1])), Port(int(e[1][0]), int(e[1][1])))
             for e in obj["edges"]

@@ -1,11 +1,13 @@
 """The interpolation lemma: exponent lattices of (alpha, beta) over Q(i) and
 coset-grouped Vandermonde solving.
 
-compute_lattice is an exact decision procedure via Gaussian-prime
-factorization: alpha^j beta^k = 1 iff every prime valuation combination
-vanishes and the combined unit exponent is 0 mod 4. alpha and beta are
-Scalars; one carrying a sqrt2 part is rejected with LatticeError rather
-than approximated.
+compute_lattice factors nothing. Factor refinement (Bach, Driscoll &
+Shallit, J. Algorithms 1993) turns the numerators and denominators of alpha
+and beta into pairwise-coprime non-units of Z[i], which are multiplicatively
+independent: alpha^j beta^k = 1 iff j * v(alpha) + k * v(beta) vanishes at
+every base element and the unit exponents cancel mod 4. Each step is a
+Gaussian gcd or an exact division. A value with a sqrt2 part is rejected
+with LatticeError rather than approximated.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .gaussint import LatticeError, gaussian_valuations
 from .scalar import ONE, Scalar, ZERO
 
 __all__ = [
@@ -30,6 +31,91 @@ __all__ = [
 
 class InterpolationError(ValueError):
     pass
+
+
+class LatticeError(ValueError):
+    """A value the exponent-lattice code cannot take: zero, or a value with
+    a sqrt2 part (outside Q(i))."""
+
+
+# Gaussian integers x + y*i are pairs (x, y).
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gnorm(a):
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _ggcd(a, b):
+    """A gcd in Z[i] by Euclid with rounded quotients: each remainder has
+    norm at most half the divisor's."""
+    while b != (0, 0):
+        nb = _gnorm(b)
+        t = _gmul(a, (b[0], -b[1]))
+        q = ((2 * t[0] + nb) // (2 * nb), (2 * t[1] + nb) // (2 * nb))
+        qb = _gmul(q, b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
+
+
+def _gdiv_exact(a, b):
+    """a / b in Z[i] or None when not divisible."""
+    nb = _gnorm(b)
+    t = _gmul(a, (b[0], -b[1]))
+    if t[0] % nb or t[1] % nb:
+        return None
+    return (t[0] // nb, t[1] // nb)
+
+
+_UNIT_EXPONENT = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def _coprime_base(zs):
+    """Pairwise-coprime non-units of Z[i] such that each nonzero z in zs is
+    a unit times a product of their powers. A z that shares a factor g
+    with a base element b takes b's place as b/g, g and z/g, units dropped;
+    the product of the norms falls each time, so the refinement ends."""
+    base = []
+    todo = [z for z in zs if _gnorm(z) > 1]
+    while todo:
+        z = todo.pop()
+        for n, b in enumerate(base):
+            g = _ggcd(z, b)
+            if _gnorm(g) > 1:
+                del base[n]
+                parts = (_gdiv_exact(b, g), g, _gdiv_exact(z, g))
+                todo.extend(w for w in parts if _gnorm(w) > 1)
+                break
+        else:
+            base.append(z)
+    return base
+
+
+def _split(z, base):
+    """(unit exponent, [exponent of each base element]) of z != 0, a unit
+    times a product of powers of the base."""
+    exps = []
+    for b in base:
+        e = 0
+        while (w := _gdiv_exact(z, b)) is not None:
+            z, e = w, e + 1
+        exps.append(e)
+    return _UNIT_EXPONENT[z], exps
+
+
+def _valuations(alpha: Scalar, beta: Scalar):
+    """[(unit exponent, exponents over one coprime base)] of alpha and of
+    beta: each is i^unit times the product of base[n] ** exponents[n]."""
+    parts = [((n0, n1), (d, 0)) for n0, n1, _, _, d in (alpha.coords, beta.coords)]
+    base = _coprime_base([z for pair in parts for z in pair])
+    out = []
+    for num, den in parts:
+        (un, vn), (ud, vd) = _split(num, base), _split(den, base)
+        out.append(((un - ud) % 4, [x - y for x, y in zip(vn, vd)]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,10 +176,13 @@ def _hnf_basis(gens):
 def compute_lattice(alpha: Scalar, beta: Scalar) -> ExponentLattice:
     if not alpha or not beta:
         raise LatticeError("lattice needs nonzero alpha and beta")
-    ua, va = gaussian_valuations(alpha)
-    ub, vb = gaussian_valuations(beta)
-    primes = sorted(set(va) | set(vb))
-    if not primes:
+    if not (alpha.is_gaussian() and beta.is_gaussian()):
+        raise LatticeError(
+            "lattice undetermined over this field: value has a sqrt2 part"
+        )
+    (ua, va), (ub, vb) = _valuations(alpha, beta)
+    keys = [n for n in range(len(va)) if va[n] or vb[n]]
+    if not keys:
         # both units: kernel of (j,k) -> j*ua + k*ub mod 4, a rank-2 lattice
         gens = [(4, 0), (0, 4)]
         for j in range(4):
@@ -102,12 +191,12 @@ def compute_lattice(alpha: Scalar, beta: Scalar) -> ExponentLattice:
                     gens.append((j, k))
         b1, b2 = _hnf_basis(gens)
         return ExponentLattice(2, basis=(b1, b2))
-    p0 = primes[0]
-    a0, b0 = va.get(p0, 0), vb.get(p0, 0)
+    n0 = keys[0]
+    a0, b0 = va[n0], vb[n0]
     g = gcd(a0, b0)
     s0, t0 = b0 // g, -a0 // g
-    for p in primes[1:]:
-        if s0 * va.get(p, 0) + t0 * vb.get(p, 0) != 0:
+    for n in keys[1:]:
+        if s0 * va[n] + t0 * vb[n] != 0:
             return ExponentLattice(0)
     w = (s0 * ua + t0 * ub) % 4
     d = 1 if w == 0 else 4 // gcd(w, 4)

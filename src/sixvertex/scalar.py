@@ -8,8 +8,8 @@ Every result goes through one normalizing constructor, which does one
 multi-argument gcd and skips it when d == 1. The rational components
 re0, im0, re1, im1 (n_k / d) are read-only fractions.Fraction views for
 the edges: formatting and callers that want Fractions. All operations are
-pure and exact; no floating point enters except in approx_complex, which is
-reporting only.
+pure and exact. approx_complex, for reporting, rounds each part to a dyadic
+rational from exact integers, bracketing the sqrt2 term with math.isqrt.
 
 Every scalar the program reads arrives as text and goes through
 parse_scalar: one term loop, _terms, reads the top level and, with
@@ -24,10 +24,7 @@ from __future__ import annotations
 import re as _re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
-
-import mpmath
-
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "Scalar",
@@ -259,18 +256,49 @@ def ratio_power_of_i(u: Scalar, v: Scalar) -> int | None:
 
 
 def approx_complex(s: Scalar, precision_bits: int = 64):
-    """Floating approximation with relative error <= 2^(1-precision_bits)."""
+    """(re, im) as exact dyadic Fractions, each the correctly rounded value
+    (to nearest, ties to even) of that part at precision_bits + 8
+    significant bits, so the relative error is <= 2^(1-precision_bits)."""
     if precision_bits < 24:
         raise ValueError("precision_bits must be >= 24")
-    with mpmath.workprec(precision_bits + 8):
-        r2 = mpmath.sqrt(2)
-        re = _to_mpf(s.re0) + _to_mpf(s.re1) * r2
-        im = _to_mpf(s.im0) + _to_mpf(s.im1) * r2
-        return mpmath.mpc(re, im)
+    n0, n1, n2, n3, d = s.coords
+    bits = precision_bits + 8
+    return _round_part(n0, n2, d, bits), _round_part(n1, n3, d, bits)
 
 
-def _to_mpf(q):
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
+def _round_part(a: int, b: int, d: int, bits: int) -> Fraction:
+    """(a + b*sqrt2) / d rounded to `bits` significant bits. For b != 0,
+    b*sqrt2*2^k lies strictly between the integers r and r + 1 (isqrt,
+    sqrt2 being irrational), so the value lies between (a*2^k + r) / d * 2^-k
+    and the next such fraction; k grows until both ends round alike."""
+    k = max(0, bits + 8 - max(a.bit_length(), b.bit_length()))
+    while True:
+        r = isqrt(2 * b * b << 2 * k)
+        lo = (a << k) + (r if b >= 0 else -r - 1)
+        q, e = _round(lo, d, -k, bits)
+        if not b or (q, e) == _round(lo + 1, d, -k, bits):
+            return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
+        # too few bits, or cancellation between a and b*sqrt2
+        k += max(16, bits + 8 - abs(lo).bit_length())
+
+
+def _round(n: int, d: int, e: int, bits: int) -> tuple[int, int]:
+    """(q, x) with q * 2^x the value n / d * 2^e (d > 0) rounded to `bits`
+    significant bits, ties to even: |q| < 2^bits, and 2^(bits-1) <= |q|
+    unless n is 0. The power of two stays out of the division."""
+    if not n:
+        return 0, 0
+    shift = bits - 1 - (abs(n).bit_length() - d.bit_length())
+    num, den = (abs(n) << shift, d) if shift >= 0 else (abs(n), d << -shift)
+    if num < den << (bits - 1):
+        # n / d was below the power of two its bit lengths suggested
+        shift, num = shift + 1, num << 1
+    q, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and q & 1):
+        q += 1
+        if q >> bits:
+            q, shift = q >> 1, shift - 1
+    return (-q if n < 0 else q), e - shift
 
 
 # Text form: "<re>[+<im>i][+(<re2>[+<im2>i])r2]", rationals as p or p/q.

@@ -1,24 +1,20 @@
-"""Gaussian-integer factorization over Q(i).
+"""Test-only reference for the exponent lattice: full Gaussian-prime
+factorization, with rational primes factored by sympy.factorint (not
+polynomial time, so only for the small values of the tests).
 
-Nonzero elements of Q(i) factor uniquely as i^e * prod(pi_k ^ n_k) with the
-pi_k canonical Gaussian primes and n_k possibly negative. Canonical associate:
-first quadrant with re > 0, im >= 0; rational primes p = 3 mod 4 stay as-is.
-Rational prime factorization is delegated to sympy.factorint, imported on
-first use so that the rest of the package loads without sympy; the splitting
-into Gaussian primes is done here. Values arrive as Scalars; one carrying a
-sqrt2 part raises LatticeError.
+gaussian_valuations factors a nonzero element of Q(i) uniquely as
+i^e * prod(pi_k ^ n_k) with the pi_k canonical Gaussian primes and n_k
+possibly negative. Canonical associate: first quadrant with re > 0,
+im >= 0; rational primes p = 3 mod 4 stay as-is. compute_lattice_reference
+reads the lattice off those valuations.
 """
 
-from __future__ import annotations
+from math import gcd
 
-from .scalar import Scalar
+from sympy import factorint
 
-__all__ = ["LatticeError", "gaussian_valuations"]
-
-
-class LatticeError(ValueError):
-    """A value the exponent-lattice code cannot take: zero, or a value with
-    a sqrt2 part (outside Q(i))."""
+from sixvertex.interpolate import ExponentLattice, LatticeError, _hnf_basis
+from sixvertex.scalar import Scalar
 
 
 def _gmul(a, b):
@@ -92,8 +88,6 @@ def _prime_above(p: int):
 
 def _factor_gaussian_integer(z):
     """Factor z in Z[i], z != 0: returns (unit_exponent, {prime: exp})."""
-    from sympy import factorint
-
     factors: dict[tuple[int, int], int] = {}
     for p, k in sorted(factorint(_gnorm(z)).items()):
         if p == 2:
@@ -146,3 +140,34 @@ def gaussian_valuations(q: Scalar):
             fac[prime] = fac.get(prime, 0) - exp
     return unit % 4, {p: e for p, e in sorted(fac.items()) if e != 0}
 
+
+def compute_lattice_reference(alpha: Scalar, beta: Scalar) -> ExponentLattice:
+    """ExponentLattice of (alpha, beta) from the full Gaussian-prime
+    factorizations."""
+    if not alpha or not beta:
+        raise LatticeError("lattice needs nonzero alpha and beta")
+    ua, va = gaussian_valuations(alpha)
+    ub, vb = gaussian_valuations(beta)
+    primes = sorted(set(va) | set(vb))
+    if not primes:
+        # both units: kernel of (j,k) -> j*ua + k*ub mod 4, a rank-2 lattice
+        gens = [(4, 0), (0, 4)]
+        for j in range(4):
+            for k in range(4):
+                if (j or k) and (j * ua + k * ub) % 4 == 0:
+                    gens.append((j, k))
+        b1, b2 = _hnf_basis(gens)
+        return ExponentLattice(2, basis=(b1, b2))
+    p0 = primes[0]
+    a0, b0 = va.get(p0, 0), vb.get(p0, 0)
+    g = gcd(a0, b0)
+    s0, t0 = b0 // g, -a0 // g
+    for p in primes[1:]:
+        if s0 * va.get(p, 0) + t0 * vb.get(p, 0) != 0:
+            return ExponentLattice(0)
+    w = (s0 * ua + t0 * ub) % 4
+    d = 1 if w == 0 else 4 // gcd(w, 4)
+    s, t = d * s0, d * t0
+    if s < 0 or (s == 0 and t < 0):
+        s, t = -s, -t
+    return ExponentLattice(1, generator=(s, t))

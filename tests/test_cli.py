@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,13 +265,13 @@ def test_interpolate_computes_the_lattice_once(tmp_path, monkeypatch, capsys):
     from sixvertex.cli import main
 
     calls = []
-    factor = sixvertex.interpolate.gaussian_valuations
+    valuations = sixvertex.interpolate._valuations
 
-    def counted(z):
-        calls.append(z)
-        return factor(z)
+    def counted(alpha, beta):
+        calls.append((alpha, beta))
+        return valuations(alpha, beta)
 
-    monkeypatch.setattr(sixvertex.interpolate, "gaussian_valuations", counted)
+    monkeypatch.setattr(sixvertex.interpolate, "_valuations", counted)
     values = tmp_path / "vals.json"
     values.write_text(json.dumps(["7", "17/2", "49/4"]))
     code = main([
@@ -280,7 +281,56 @@ def test_interpolate_computes_the_lattice_once(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert "23/3" in out  # the value test_interpolate_command asserts
-    assert len(calls) == 2  # alpha and beta, factored once each
+    assert len(calls) == 1  # alpha and beta, over one coprime base, once
+
+
+def test_interpolate_lattice_of_a_49_digit_alpha(tmp_path):
+    # alpha is a product of two 25-digit primes: factoring its norm is out
+    # of reach, the coprime base needs a few Gaussian gcds
+    alpha = "3607234252852946013748600651269289747421407597859"
+    values = tmp_path / "vals.json"
+    values.write_text(json.dumps(["1", "1", "1"]))
+    r = subprocess.run(
+        BASE + ["--json", "interpolate", "--alpha", alpha, "--beta", "1/2",
+                "--m", "1", "--phi", "1", "--psi", "1", "--values", str(values)],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["lattice"] == {"rank": 0, "generator": None}
+
+
+def test_import_leaves_sympy_and_mpmath_unloaded():
+    code = (
+        "import sys, sixvertex.cli; "
+        "assert not {'sympy', 'mpmath'} & set(sys.modules), sys.modules.keys()"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert r.returncode == 0, r.stderr
+
+
+def test_value_report_past_and_below_the_double_range():
+    from fractions import Fraction
+
+    from sixvertex.cli import _value_report
+    from sixvertex.scalar import Scalar
+
+    huge, tiny = Fraction(2) ** 1100, Fraction(1, 2**1100)
+    for value, re, im in [
+        (Scalar(huge, -huge), math.inf, -math.inf),
+        (Scalar(tiny, -tiny), 0.0, -0.0),
+        (Scalar(0), 0.0, 0.0),
+        (Scalar(-tiny, 0, tiny), 0.0, 0.0),  # rounds to 2^-1100 * (sqrt2 - 1)
+    ]:
+        approx = _value_report(value, 64)["approx"]
+        got = (approx["re"], approx["im"])
+        assert got == (re, im)
+        signs = [math.copysign(1, x) for x in got]
+        assert signs == [math.copysign(1, re), math.copysign(1, im)]
+    assert json.dumps(_value_report(Scalar(-huge), 64)["approx"]) == (
+        '{"re": -Infinity, "im": 0.0}'
+    )
 
 
 def test_torus_output_to_missing_directory_exit2(tmp_path):
@@ -343,7 +393,8 @@ def _grid_file(tmp_path, signature):
 
 
 def test_precision_ceiling_refuses_at_once(tmp_path):
-    """A huge --precision is refused before mpmath runs at that many bits."""
+    """A huge --precision is refused before approx_complex runs at that many
+    bits."""
     grid = _grid_file(tmp_path, {"six_vertex": ["1"] * 6})
     r = subprocess.run(
         BASE + ["--precision", "1000000000", "eval", grid],
@@ -355,6 +406,18 @@ def test_precision_ceiling_refuses_at_once(tmp_path):
     r = run_cli("--precision", "65536", "eval", grid)
     assert r.returncode == 0, r.stderr
     assert "value: 4" in r.stdout
+
+
+def _duplicate_vertex_grid(tmp_path):
+    # vertex 0 twice, ice then all-2 weights: the second must not silently
+    # replace the first
+    return _file(tmp_path, json.dumps({
+        "vertices": [
+            {"id": 0, "signature": {"six_vertex": ["1"] * 6}},
+            {"id": 0, "signature": {"six_vertex": ["2"] * 6}},
+        ],
+        "edges": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]],
+    }))
 
 
 def _ice_torus_2x2(tmp_path):
@@ -389,6 +452,11 @@ def _interpolate(tmp_path, alpha, values):
          "scalar must be a string, got 1"),
         (lambda tmp: ["eval", _grid_file(tmp, {"arity": 4, "values": [0] * 16})],
          "scalar must be a string, got 0"),
+        (lambda tmp: ["eval", _grid_file(tmp, {"six_vertex": "123456"})],
+         "six_vertex must hold a JSON list, got str"),
+        (lambda tmp: ["eval", _grid_file(tmp, {"arity": 4, "values": "1" * 16})],
+         "values must hold a JSON list, got str"),
+        (lambda tmp: ["eval", _duplicate_vertex_grid(tmp)], "duplicate vertex id 0"),
         (lambda tmp: _interpolate(tmp, "2", "[1, 2, 3]"), "scalar must be a string, got 1"),
         (lambda tmp: _interpolate(tmp, "2", '"123"'), "--values must hold a JSON list"),
         (lambda tmp: _interpolate(tmp, "2", '{"1": 0, "2": 0, "3": 0}'),
@@ -398,7 +466,9 @@ def _interpolate(tmp_path, alpha, values):
     ids=[
         "OSError", "JSONDecodeError", "GridError", "SolverError", "GadgetError",
         "InterpolationError", "LatticeError", "ScalarParseError-six-vertex",
-        "ScalarParseError-values", "ScalarParseError-interpolate",
+        "ScalarParseError-values", "GridError-six-vertex-string",
+        "GridError-values-string", "GridError-duplicate-id",
+        "ScalarParseError-interpolate",
         "InputError-string", "InputError-object", "ScalarParseError-long-number",
     ],
 )

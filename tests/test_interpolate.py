@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from lattice_reference import compute_lattice_reference, gaussian_valuations
 
 from sixvertex.interpolate import (
     InterpolationError,
@@ -13,7 +15,7 @@ from sixvertex.interpolate import (
     make_observations,
 )
 from sixvertex.sampling import SCALAR_POOL
-from sixvertex.scalar import ONE, SQRT2, Scalar, ZERO
+from sixvertex.scalar import I_POWERS, ONE, SQRT2, Scalar, ZERO
 
 G = Scalar
 
@@ -64,13 +66,69 @@ class TestLattice:
             assert not lat.contains(s // 2, t // 2)
 
     def test_rejects_zero_and_sqrt2(self):
-        with pytest.raises(LatticeError):
-            compute_lattice(G(0), G(2))
-        with pytest.raises(LatticeError):
-            compute_lattice(SQRT2, G(2))
-        with pytest.raises(LatticeError):
-            compute_lattice(G(2, 3), G(1, 0, 1))
+        for alpha, beta in [
+            (G(0), G(2)),
+            (G(2), G(0)),
+            (SQRT2, G(2)),
+            (G(2), SQRT2),
+            (G(2, 3), G(1, 0, 1)),
+            (G(1, 0, 0, 1), G(2)),
+        ]:
+            with pytest.raises(LatticeError):
+                compute_lattice(alpha, beta)
         assert compute_lattice(G(2, 3), G(2, 3)).rank == 1
+
+    def test_matches_reference_on_seeded_pairs(self):
+        # the canonical Gaussian primes above 2, 3, 7, 5, 13 and 17
+        primes = [G(1, 1), G(3), G(7), G(2, 1), G(1, 2), G(3, 2), G(2, 3), G(4, 1)]
+        rng = random.Random(20)
+
+        def unit():
+            return I_POWERS[rng.randrange(4)]
+
+        def product():
+            out = unit()
+            for p in rng.sample(primes, rng.randint(0, 4)):
+                out = out * p ** rng.choice([-3, -2, -1, 1, 2, 3])
+            return out
+
+        def pair():
+            kind = rng.randrange(4)
+            if kind == 0:  # independent products, mostly rank 0
+                return product(), product()
+            if kind == 1:  # powers of one value times units, rank 1 or 2
+                gamma = product()
+                return (
+                    unit() * gamma ** rng.randint(-3, 3),
+                    unit() * gamma ** rng.randint(-3, 3),
+                )
+            if kind == 2:  # units only, rank 2
+                return unit(), unit()
+            # generic numerators and denominators, primes outside the list
+            big = [
+                G(Q(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)),
+                  Q(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)))
+                for _ in range(2)
+            ]
+            return tuple(b if b else ONE for b in big)
+
+        seen = Counter()
+        for _ in range(3000):
+            alpha, beta = pair()
+            lat = compute_lattice(alpha, beta)
+            assert lat == compute_lattice_reference(alpha, beta), (alpha, beta)
+            seen[f"rank {lat.rank}"] += 1
+            for q in (alpha, beta):
+                n0, n1, _, _, d = q.coords
+                num = set(gaussian_valuations(G(n0, n1))[1])
+                den = set(gaussian_valuations(G(d))[1])
+                seen["shared"] += bool(num & den)
+                seen["unit"] += not num | den
+                seen["1+i"] += (1, 1) in num | den
+                seen["3 mod 4"] += any(p % 4 == 3 and not y for p, y in num | den)
+        assert all(seen[k] for k in (
+            "rank 0", "rank 1", "rank 2", "shared", "unit", "1+i", "3 mod 4"
+        )), seen
 
 
 class TestInterpolationSolve:

@@ -156,11 +156,11 @@ def test_parse_rejects_numbers_past_the_int_limit(template):
 
 
 def test_approx_complex():
-    v = approx_complex(ONE + SQRT2)
-    assert abs(float(v.real) - 2.414213562373095) < 1e-12
-    assert float(v.imag) == 0.0
-    v = approx_complex(I)
-    assert float(v.real) == 0.0 and float(v.imag) == 1.0
+    re, im = approx_complex(ONE + SQRT2)
+    assert abs(float(re) - 2.414213562373095) < 1e-12
+    assert float(im) == 0.0
+    assert approx_complex(I) == (0, 1)
+    assert approx_complex(ZERO) == (0, 0)
     with pytest.raises(ValueError):
         approx_complex(ONE, precision_bits=8)
 
@@ -172,7 +172,63 @@ def test_approx_precision_scales():
     hi = approx_complex(s, precision_bits=200)
     with mpmath.workprec(260):
         want = mpmath.mpf(1) / 3 + mpmath.mpf(1) / 7 * mpmath.sqrt(2)
-        assert abs(hi.real - want) < mpmath.mpf(2) ** (-190)
+        got = mpmath.mpf(hi[0].numerator) / hi[0].denominator
+        assert abs(got - want) < mpmath.mpf(2) ** (-190)
+
+
+def _mp_rounded(q, sqrt2_part, bits, work):
+    """q + sqrt2_part * sqrt2, at `work` bits in mpmath, then rounded to
+    `bits` (to nearest, ties to even), as a Fraction."""
+    import mpmath
+
+    with mpmath.workprec(work):
+        x = mpmath.mpf(q.numerator) / q.denominator
+        x += mpmath.mpf(sqrt2_part.numerator) / sqrt2_part.denominator * mpmath.sqrt(2)
+    with mpmath.workprec(bits):
+        sign, man, exp, _ = (+x)._mpf_
+    return (-1) ** sign * Q(man) * Q(2) ** exp
+
+
+@pytest.mark.parametrize("precision", [24, 53, 64, 200, 65536])
+def test_approx_is_correctly_rounded(precision):
+    # each part rounded once, at precision + 8 bits; mpmath at 400 bits
+    # fixes that rounding for every precision but the last, which needs
+    # precision + 72 bits
+    rng = random.Random(precision)
+    bits, work = precision + 8, max(400, precision + 72)
+
+    def part():
+        w = rng.choice([2, 10, 40, 300])
+        return Q(rng.randint(-2**w, 2**w), rng.randint(1, 2**rng.choice([1, 8, 60])))
+
+    count = 3 if precision == 65536 else 200
+    for n in range(count):
+        # every fourth scalar is rational-only, a sqrt2 part of 0
+        s = Scalar(part(), part(), *((0, 0) if n % 4 == 0 else (part(), part())))
+        re, im = approx_complex(s, precision)
+        assert re == _mp_rounded(s.re0, s.re1, bits, work), (s, precision)
+        assert im == _mp_rounded(s.im0, s.im1, bits, work), (s, precision)
+        for x in (re, im):
+            assert x.denominator & (x.denominator - 1) == 0  # dyadic
+            assert abs(x.numerator).bit_length() <= bits or x.denominator == 1
+
+
+def test_approx_ties_round_to_even():
+    # 2^32 + 1 and 2^32 + 3 lie halfway between 32-bit neighbours
+    assert approx_complex(Scalar(2**32 + 1), 24) == (2**32, 0)
+    assert approx_complex(Scalar(-(2**32) - 3), 24) == (-(2**32) - 4, 0)
+
+
+def test_approx_cancellation():
+    # 99 - 70*sqrt2 = 1 / (99 + 70*sqrt2) ~ 0.00505: the two terms cancel
+    # to 14 bits, which the bracket must make up
+    import mpmath
+
+    re, _ = approx_complex(Scalar(99, 0, -70), 53)
+    with mpmath.workprec(400):
+        want = 1 / (99 + 70 * mpmath.sqrt(2))
+        got = mpmath.mpf(re.numerator) / re.denominator
+        assert abs(got / want - 1) < mpmath.mpf(2) ** (-61)
 
 
 def test_gaussian_rational_arithmetic():
