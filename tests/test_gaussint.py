@@ -4,9 +4,11 @@ checked against (lattice_reference.py)."""
 import random
 from fractions import Fraction as Q
 
+import pytest
 from lattice_reference import gaussian_valuations
 
-from sixvertex.scalar import I_POWERS, Scalar
+from sixvertex.interpolate import LatticeError
+from sixvertex.scalar import I_POWERS, SQRT2, Scalar
 
 
 def rebuild(unit, factors):
@@ -36,6 +38,18 @@ def test_factor_three_fifths():
     assert factors[(2, 1)] == -1
     assert factors[(1, 2)] == -1
     assert rebuild(unit, factors) == Scalar(Q(3, 5))
+
+
+def test_factor_rejects_zero():
+    with pytest.raises(ZeroDivisionError):
+        gaussian_valuations(Scalar(0))
+
+
+def test_factor_rejects_sqrt2():
+    with pytest.raises(LatticeError):
+        gaussian_valuations(SQRT2)
+    with pytest.raises(LatticeError):
+        gaussian_valuations(Scalar(1, 0, 0, 1))
 
 
 def test_round_trip_randomized():
