@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .acceptance import CRITERIA, LIEB, run_acceptance
@@ -271,8 +272,26 @@ def cmd_interpolate(args) -> int:
     return EXIT_OK
 
 
+# a token that starts with "-" and then a digit, "(" or "i" is a negative
+# scalar (-1/2, -(1)r2, -i), never an option
+_NEGATIVE_SCALAR = re.compile(r"-[\d(i]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads any token that starts with "-" as an option unless it
+    is a plain negative number; this parser, and the subcommand parsers
+    made from it, read a negative scalar as a value instead. Any other
+    token that starts with "-" is still an option, so an unknown one exits
+    2 with the usage."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_SCALAR.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sixvertex",
         description="Exact six-vertex / Holant toolkit",
     )

@@ -37,18 +37,38 @@ L1 norm (_lift takes it for the vertex tensors), and the next merge packs
 them at its own width. At the end x2 = (c1 - c3)/2 and x3 = (c1 + c3)/2,
 and the result is the same exact Scalar.
 
+A six-vertex tensor is nonzero in one flux sector only, the U(1) block
+structure of Singh, Pfeifer and Vidal ("Tensor network decompositions in
+the presence of a global U(1) symmetry", Phys. Rev. B 83, 115125, 2011).
+Each tensor carries a flip mask: the open edges whose second end lies in
+its cluster. A table nonzero on inputs of one weight only, as a six-vertex
+table is, has the same charge popcount(key ^ flip) on every key: 2 less
+one per self-loop, whose two ends' bits differ. A merge keeps it, with
+charge ca + cb - (edges shared): on a shared edge the two keys' bits agree
+and exactly one end flips, so that edge counts once in ca + cb. A tensor
+whose table mixes weights has no charge, nor has any merge it is part of.
+
 A merge groups the smaller tensor by its shared edges and streams the
-larger one past the groups. By default each product is one dict update.
-When every table is rational, a dense merge takes the row path
-instead, again a Kronecker substitution: each group becomes one int with a
-W-bit slot per out key of the smaller tensor, so each streamed entry is one
-big-int multiply-add into its output row. A slot sums at most one product
-per group, so W, whole bytes, is the bit length of
-max|a| * max|b| * groups plus a sign bit; adding 2^(W-1) to each slot makes
-a row's slots its unsigned bytes. The row path is taken when the dict
-products a streamed entry saves exceed the cost of its multiply-add, a cost
-model over the merge's sizes (_row_path_pays). Z[zeta8] merges stay on the
-dict path.
+larger one past the groups. Each product is one dict update, or, on the
+row path, a Kronecker substitution again: each group becomes one int with
+a W-bit slot per key of its class, so each streamed entry is one big-int
+multiply-add into its output row. The classes are laid out once per merge
+from the grouped tensor's distinct out keys, split by popcount(ob ^ flip)
+(one class when the merge has no charge), a key's slot being its index in
+its class. A group's keys all lie in one class, and so do the keys of an
+output row, by the charge of the output; so a row has exactly its class's
+slots and no empty ones. For exact ints a slot sums at most one product per
+group, so W is the bit length of max|a| * max|b| * groups plus a sign bit.
+Z[zeta8] merges take the same rows: their slot holds the unreduced product
+polynomial at 2^w, w being the merge's digit width above, whose seven
+digits' absolute values sum below 2^(w-1), so W = 7w bits; _unpack splits
+each slot's sum mod 2^(4w) + 1 as it splits the dict path's. W is whole
+bytes, a machine word of 1, 2, 4 or 8 bytes when it fits one, and adding
+2^(W-1) to each slot makes a row's slots its unsigned fields. The row
+path is taken when the dict products a streamed entry saves exceed the
+cost of its multiply-add, a cost model over the merge's sizes and its
+rows' slot counts (_row_path_pays), and stats["packed_merges"] counts the
+merges that took it.
 
 A merge also looks ahead in the plan, a semi-join (Bernstein and Chiu,
 "Using semi-joins to solve relational queries", J. ACM 28(1), 1981): if
@@ -61,8 +81,8 @@ partner is final once it is live, since each cluster is merged exactly
 once. The filter runs only where it pays (_prune_pays): where both
 inputs have out edges the partner shares, the partner keeps some edges of
 its own, the merge's products are at least a thousand and several times
-the partner's size, and the partner's patterns are at most half of the pairs of its patterns on
-the two inputs' sides. It stays on the dict path, and
+the partner's size, and the partner's patterns are at most 0.45 of the
+pairs of its patterns on the two inputs' sides. It runs on the dict path, and
 stats["pruned_merges"] counts the merges it dropped products from. On the
 12x12 torus with one zero weight it cuts two merges from 95,328 output
 entries each to 4,096.
@@ -70,6 +90,8 @@ entries each to 4,096.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -107,14 +129,19 @@ class ContractionPlan:
 
 class _Tensor:
     """Edges in key-bit order and the nonzero entries; norm is the largest
-    L1 norm of a zeta8 entry (0 for exact ints)."""
+    L1 norm of a zeta8 entry (0 for exact ints). flip, in key bits, marks
+    the edges whose second end lies in the tensor's cluster; charge is
+    popcount(key ^ flip), the same for every key, or None when the keys
+    have no one such count (a tensor that is not sectored)."""
 
-    __slots__ = ("edges", "data", "norm")
+    __slots__ = ("edges", "data", "norm", "flip", "charge")
 
-    def __init__(self, edges, data, norm=0):
+    def __init__(self, edges, data, norm=0, flip=0, charge=None):
         self.edges = tuple(edges)
         self.data = data
         self.norm = norm
+        self.flip = flip
+        self.charge = charge
 
 
 def _incidence(grid: SignatureGrid) -> dict[int, dict[int, list[tuple[int, int]]]]:
@@ -155,7 +182,18 @@ def _vertex_tensor(sig, ends: dict[int, list[tuple[int, int]]]) -> _Tensor:
             key |= (bits[slot] ^ flip) << i
         cur = data.get(key)
         data[key] = val if cur is None else cur + val
-    return _Tensor(open_edges, {k: v for k, v in data.items() if v})
+    data = {k: v for k, v in data.items() if v}
+    # a six-vertex table has charge 2 less one per self-loop, whose two
+    # ends' bits differ; an all-zero one is sectored too
+    flip = sum(ends[e][0][1] << i for i, e in enumerate(open_edges))
+    charges = {(k ^ flip).bit_count() for k in data}
+    charge = charges.pop() if len(charges) == 1 else None if charges else 0
+    return _Tensor(open_edges, data, flip=flip, charge=charge)
+
+
+def _move(x: int, dst: list[int]) -> int:
+    """x with its bit i moved to bit dst[i]."""
+    return sum(1 << d for i, d in enumerate(dst) if x >> i & 1)
 
 
 def _remap(data: dict, dst: list[int]):
@@ -247,75 +285,113 @@ def _unpack(data: dict, width: int) -> tuple[dict[int, tuple[int, int, int, int]
 
 
 # The row path's cost, in units of one dict-path product: a streamed entry
-# costs ROW_ENTRY_COST plus ROW_WORD_COST per 64-bit word of the packed row.
-# Both were chosen by timing both paths on 1,702 rational merges of ice,
-# one-zero and two-zero tori (CPython 3.11, x86-64): any pair with
-# 6 <= ROW_ENTRY_COST <= 12 and 0.05 <= ROW_WORD_COST <= 0.2 took within 2%
-# of the time of always picking the faster path.
-ROW_ENTRY_COST = 8.0
-ROW_WORD_COST = 0.1
+# costs ROW_ENTRY_COST plus ROW_WORD_COST per 64-bit word of the packed row,
+# the row priced at the mean slot count of the groups' classes. Both were
+# chosen by timing both paths on 2,561 merges (2,135 rational, 426 over
+# Z[zeta8]) of ice 6x6, 8x8 and 5x20, sqrt2 6x6, 7x7 and 6x10, one-zero
+# 10x10, 12x12 and 6x24 and two-zero 8x8, 10x10 and 5x20 tori, three weight
+# seeds each (CPython 3.11, x86-64): this pair took 1.236 s in all, against
+# 1.201 s for always picking the faster path, 1.704 s for the dict path
+# alone and 1.345 s for the pair measured for the 2^sb-slot rows (8, 0.1).
+ROW_ENTRY_COST = 4.5
+ROW_WORD_COST = 0.03
 
 
-def _row_path_pays(products_per_entry: float, row_bits: int) -> bool:
+def _row_path_pays(products_per_entry: float, row_bits: float) -> bool:
     """Whether one big-int multiply-add on a row_bits-wide packed group is
     cheaper than the products_per_entry dict updates it replaces."""
     return products_per_entry > ROW_ENTRY_COST + ROW_WORD_COST * row_bits / 64
 
 
-def _row_width(a: _Tensor, b: _Tensor, groups: dict, sb: int) -> int:
-    """Slot width W in bits if the row path pays for this merge of exact
-    ints, else 0. A slot sums at most one product per group, so
-    |sum| <= max|a| * max|b| * groups < 2^(W-1); W is whole bytes."""
-    if not groups:
-        return 0
+def _slot_width(a: _Tensor, b: _Tensor, n_groups: int, width: int) -> int:
+    """The row path's slot width in bits, whole bytes. For exact ints
+    (width 0) a slot sums at most one product per group, so |sum| <=
+    max|a| * max|b| * groups < 2^(W-1). For Z[zeta8] entries packed at
+    digit width w, a slot holds the unreduced product polynomial at 2^w:
+    its seven digits' absolute values sum below 2^(w-1), as the output
+    digits of _zeta_width do, so |sum| < 2^(7w-1)."""
+    if width:
+        bits = 7 * width
+    else:
+        top = max(map(abs, a.data.values())) * max(map(abs, b.data.values())) * n_groups
+        bits = top.bit_length() + 1
+    nbytes = (bits + 7) // 8
+    if nbytes <= 8:  # a machine word, which _row_products reads in one call
+        nbytes = 1 << (nbytes - 1).bit_length()
+    return 8 * nbytes
+
+
+def _row_layout(a: _Tensor, b: _Tensor, groups: dict, width: int, flip: int, sectored: bool):
+    """The row path's layout of a merge, if _row_path_pays for it, else
+    None. b's distinct out keys are split into classes by
+    popcount(ob ^ flip), or into one class 0 when the merge is not
+    sectored; a key's slot is its index in its class, and a group's class
+    is that of all of its keys. Returns (class -> its keys in slot order,
+    group -> its class, slot width in bits)."""
     per_entry = len(b.data) / len(groups)
-    if not _row_path_pays(per_entry, 8 << sb):  # W >= 8: skip the max passes
-        return 0
-    top = max(map(abs, a.data.values())) * max(map(abs, b.data.values())) * len(groups)
-    width = (top.bit_length() + 8) // 8 * 8
-    return width if _row_path_pays(per_entry, width << sb) else 0
+    # a row has a slot of at least a byte for each entry of its group
+    if not _row_path_pays(per_entry, 8 * per_entry):
+        return None
+    classes: dict[int, set] = {}
+    group_class = {}
+    for g, entries in groups.items():
+        k = group_class[g] = (entries[0][0] ^ flip).bit_count() if sectored else 0
+        classes.setdefault(k, set()).update(ob for ob, _ in entries)
+    slots = sum(len(classes[k]) for k in group_class.values()) / len(groups)
+    slot_width = _slot_width(a, b, len(groups), width)
+    if not _row_path_pays(per_entry, slot_width * slots):
+        return None
+    return {k: sorted(keys) for k, keys in classes.items()}, group_class, slot_width
 
 
-def _row_products(stream, groups: dict, s: int, sb: int, width: int) -> dict[int, int]:
+# slot widths in bytes -> the array type code of that machine word
+_SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _row_products(stream, groups, s, row_class, classes, group_class, width):
     """The row path of _merge: each group of the smaller tensor becomes one
-    int with a width-bit slot per out key (b's out edges are the low sb key
-    bits), so each streamed entry is one multiply-add into its output row,
-    the key's bits above sb. Slots are signed; as in _unpack, adding 2^(W-1)
-    to each makes them the unsigned bytes of the row."""
+    int with a width-bit slot per key of its class (_row_layout), so each
+    streamed entry is one multiply-add into its output row, the key's bits
+    above the grouped tensor's out bits. Row r holds the keys of class
+    row_class(r). Slots are signed; as in _unpack, adding 2^(W-1) to each
+    makes them the unsigned fields of the row, read and written with one
+    array call when a slot is a machine word."""
     wb, half = width // 8, 1 << (width - 1)
-    base = half.to_bytes(wb, "little") * (1 << sb)
-    bias = int.from_bytes(base, "little")
+    code, order, from_bytes = _SLOT_CODES.get(wb), sys.byteorder, int.from_bytes
+
+    def pack(slots):
+        if code:
+            return from_bytes(array(code, slots).tobytes(), order)
+        return from_bytes(b"".join(v.to_bytes(wb, order) for v in slots), order)
+
+    layout = {}
+    for k, keys in classes.items():
+        at = {ob: i for i, ob in enumerate(keys)}
+        layout[k] = (keys, at, pack([half] * len(keys)), len(keys) * wb)
     packed = {}
     for g, entries in groups.items():
-        buf = bytearray(base)
-        occ = 0
+        keys, at, bias, _ = layout[group_class[g]]
+        slots = [half] * len(keys)
         for ob, w in entries:
-            buf[ob * wb : ob * wb + wb] = (w + half).to_bytes(wb, "little")
-            occ |= 1 << ob
-        packed[g] = (int.from_bytes(buf, "little") - bias, occ)
+            slots[at[ob]] = w + half
+        packed[g] = pack(slots) - bias
     mask = (1 << s) - 1
     rows: defaultdict[int, int] = defaultdict(int)
-    occupied: defaultdict[int, int] = defaultdict(int)
     for x, v in stream:
-        hit = packed.get(x >> s)
-        if hit:
-            r = x & mask
-            rows[r] += v * hit[0]
-            occupied[r] |= hit[1]
+        p = packed.get(x >> s)
+        if p:
+            rows[x & mask] += v * p
     data = {}
-    slot_lists: dict[int, list] = {}
-    from_bytes, nbytes = int.from_bytes, len(base)
     for r, acc in rows.items():
-        raw = (acc + bias).to_bytes(nbytes, "little")
-        occ = occupied[r]
-        slots = slot_lists.get(occ)
-        if slots is None:
-            slots = slot_lists[occ] = [
-                (j, j * wb, j * wb + wb) for j in range(1 << sb) if occ >> j & 1
-            ]
-        for j, lo, hi in slots:
-            if v := from_bytes(raw[lo:hi], "little") - half:
-                data[r | j] = v
+        keys, _, bias, nbytes = layout[row_class(r)]
+        raw = (acc + bias).to_bytes(nbytes, order)
+        if code:
+            slots = array(code, raw).tolist()
+        else:
+            slots = [from_bytes(raw[i : i + wb], order) for i in range(0, nbytes, wb)]
+        for ob, v in zip(keys, slots):
+            if v != half:
+                data[r | ob] = v - half
     return data
 
 
@@ -335,10 +411,15 @@ def _row_products(stream, groups: dict, s: int, sb: int, width: int) -> dict[int
 # merge, but for a twozero 8x8 and a 7x14 merge that ran within their
 # run-to-run spread; those it skips for their size would have saved at
 # most 0.2 ms or lost time; those it skips for their cover gave -3.8 to
-# +4.3 ms on 15-50 ms merges, within the same spread.
+# +4.3 ms on 15-50 ms merges, within the same spread. Against the sector
+# rows of the row path, the merges it took with a cover of 0.32-0.42
+# (one-zero 10x10 to 12x12) still saved 5-80 ms each, the partner merge
+# included, but the two-zero merges with a cover of 0.47 (8x8, 7x14, a
+# partner of 177 entries) lost 1-9 ms, so PRUNE_MAX_COVER went from 0.5 to
+# 0.45.
 PRUNE_MIN_PRODUCTS = 1024
 PRUNE_PRODUCTS_PER_KEY = 4
-PRUNE_MAX_COVER = 0.5
+PRUNE_MAX_COVER = 0.45
 
 
 def _prune_pays(products: float, partner: _Tensor, n_shared: int, cover: float) -> bool:
@@ -400,8 +481,8 @@ def _merge(a: _Tensor, b: _Tensor, width: int, partner: _Tensor | None = None):
     The smaller tensor's out edges take the low key bits, the larger's the
     bits above them and the shared ones the bits above those. The smaller
     tensor is grouped by its shared bits and the larger one streamed past
-    it: into a dict of products, or, for exact ints when _row_path_pays,
-    into packed rows (_row_products).
+    it: into a dict of products, or, when _row_path_pays, into packed rows
+    (_row_products).
     partner, when given, is the built tensor the output is merged with
     next. If _partner_patterns takes it, the out edges it shares take the
     smaller tensor's lowest out bits (nb of them) and the larger's highest
@@ -419,23 +500,37 @@ def _merge(a: _Tensor, b: _Tensor, width: int, partner: _Tensor | None = None):
         out_a.sort(key=near.__contains__)
         na, nb = len(near.intersection(out_a)), len(near.intersection(out_b))
     out_edges = out_b + out_a
+    n_shared = len(ea) - len(out_a)
     pos = {e: i for i, e in enumerate(out_edges + sorted(ea & eb))}
     s, sb = len(out_edges), len(out_b)
     mask = (1 << s) - 1
+    dst_a, dst_b = [pos[e] for e in a.edges], [pos[e] for e in b.edges]
+    # the output's flip is its inputs' on the out edges; it is sectored
+    # when both inputs are, each shared edge taking one from the sum of
+    # their charges (its two ends' key bits agree and one end flips)
+    flip = (_move(a.flip, dst_a) | _move(b.flip, dst_b)) & mask
+    sectored = a.charge is not None and b.charge is not None
+    charge = a.charge + b.charge - n_shared if sectored else None
     da, db = (_pack(a.data, width), _pack(b.data, width)) if width else (a.data, b.data)
     groups: dict[int, list[tuple[int, int]]] = {}
-    for x, v in _remap(db, [pos[e] for e in b.edges]):
+    for x, v in _remap(db, dst_b):
         groups.setdefault(x >> s, []).append((x & mask, v))
-    stream = _remap(da, [pos[e] for e in a.edges])
+    stream = _remap(da, dst_a)
     # the stream looks up x >> t: its group and, with the filter, its na
     # partner-shared bits; on a miss the entry list is built from the
     # group's sub-groups by their nb partner-shared bits (subs), those
     # whose bits with the stream's are an allowed pattern
     subs: dict[int, dict[int, list]] = {}
     if patterns is None:
-        row_width = 0 if width else _row_width(a, b, groups, sb)
-        if row_width:
-            return _Tensor(out_edges, _row_products(stream, groups, s, sb, row_width)), "row"
+        layout = groups and _row_layout(a, b, groups, width, flip & (1 << sb) - 1, sectored)
+        if layout:
+            fa = flip >> sb << sb
+            row_class = (lambda r: charge - (r ^ fa).bit_count()) if sectored else (lambda r: 0)
+            data = _row_products(stream, groups, s, row_class, *layout)
+            norm = 0
+            if width:
+                data, norm = _unpack(data, width)
+            return _Tensor(out_edges, data, norm, flip, charge), "row"
         t, table = s, groups
     else:
         moves = [(1 << i, 1 << pos[e]) for i, e in enumerate(partner.edges) if e in pos]
@@ -465,8 +560,8 @@ def _merge(a: _Tensor, b: _Tensor, width: int, partner: _Tensor | None = None):
         how = "pruned"
     if width:
         data, norm = _unpack(acc, width)
-        return _Tensor(out_edges, data, norm), how
-    return _Tensor(out_edges, {k: v for k, v in acc.items() if v}), how
+        return _Tensor(out_edges, data, norm, flip, charge), how
+    return _Tensor(out_edges, {k: v for k, v in acc.items() if v}, 0, flip, charge), how
 
 
 def _best_apart(live, pops, low, nbrs, bound):
@@ -654,7 +749,8 @@ def contract_eval(
         if first is None:
             t = shared[layout] = _vertex_tensor(sig, ends)
         else:
-            t = _Tensor([e for e, at in ends.items() if len(at) == 1], first.data)
+            open_edges = [e for e, at in ends.items() if len(at) == 1]
+            t = _Tensor(open_edges, first.data, flip=first.flip, charge=first.charge)
             copies.append((t, first))
         live[frozenset((v,))] = t
     dens, zeta = _lift(shared.values())

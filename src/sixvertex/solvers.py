@@ -375,7 +375,8 @@ def solve(
     rank_cap: int = DEFAULT_RANK_CAP,
 ) -> SolveResult:
     # brute force and contraction validate the grid themselves, with the
-    # same message
+    # same message; the fallback to brute force below does not validate
+    # it a second time
     if method == "brute":
         return SolveResult(brute_force_eval(grid, edge_cap).value, "brute")
     if method == "contract":
@@ -399,7 +400,7 @@ def solve(
             if method != "auto":
                 raise
     if len(grid.edges) <= edge_cap:
-        return SolveResult(brute_force_eval(grid, edge_cap).value, "brute")
+        return SolveResult(brute_force_eval(grid, edge_cap, checked=True).value, "brute")
     raise TooLargeError(
         "no tractable algorithm applies and the instance exceeds the "
         f"brute-force cap ({len(grid.edges)} > {edge_cap} edges)"

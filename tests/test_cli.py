@@ -476,3 +476,54 @@ def test_input_error_table_exit2(tmp_path, make_args, message):
     r = run_cli(*make_args(tmp_path))
     assert_input_error(r)
     assert message in r.stderr and r.stdout == ""
+
+
+# negative scalars that argparse alone would take for options
+NEGATIVE = ("-1/2", "-i", "-(1)r2", "-3/4+i", "2", "-2")
+
+
+def test_negative_scalars_are_values(capsys):
+    """classify, torus --params and gadget --params read a token that starts
+    with "-" and then a digit, "(" or "i" as a scalar."""
+    from sixvertex.classify import classify
+    from sixvertex.cli import main
+    from sixvertex.gadgets import mnm_product
+    from sixvertex.scalar import format_scalar, parse_scalar
+    from sixvertex.signature import SixVertexParams
+
+    p = SixVertexParams(*map(parse_scalar, NEGATIVE))
+    assert main(["classify", *NEGATIVE]) == 0
+    assert json.loads(capsys.readouterr().out) == classify(p).to_json()
+    assert main(["torus", "--n", "2", "--params", *NEGATIVE]) == 0
+    vertices = json.loads(capsys.readouterr().out)["vertices"]
+    assert vertices[0]["signature"]["six_vertex"] == [format_scalar(x) for x in p]
+    assert main(["--json", "gadget", "mnm", "--params", *NEGATIVE]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == [format_scalar(x) for x in mnm_product(p)]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "-x", "1", "1", "1", "1", "1"],
+        ["classify", "1", "1", "1", "1", "1", "1", "-x"],
+        ["torus", "--n", "2", "--params", "-1", "1", "1", "1", "1", "-y"],
+        ["gadget", "mnm", "--params", "-x", "1", "1", "1", "1", "1"],
+    ],
+)
+def test_unknown_options_still_exit2_with_usage(capsys, args):
+    from sixvertex.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: sixvertex")
+
+
+def test_python_m_sixvertex_runs_the_cli():
+    r = subprocess.run(
+        [sys.executable, "-m", "sixvertex", "classify", *["1"] * 6],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["verdict"] == "hard"

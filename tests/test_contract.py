@@ -21,6 +21,7 @@ from sixvertex.signature import (
     SixVertexParams,
     from_six_vertex,
     permute_variables,
+    six_vertex_params,
 )
 
 SV = SixVertexParams.of
@@ -268,19 +269,21 @@ def test_row_path_and_dict_path_match_brute_force(monkeypatch, force):
     "n_groups, ma, mb, width",
     [
         (7, 31, 151, 16),  # bound 7 * 31 * 151 = 2^15 - 1: sums reach 2^(W-1) - 1
-        (3, 85, 257, 24),  # bound 2^16 - 1: the sign bit needs a third byte
+        (3, 85, 257, 32),  # bound 2^16 - 1: the sign bit needs a third byte, so a word of 4
+        (3, 1 << 35, 1 << 34, 72),  # bound 3 * 2^69: nine bytes, past a machine word
     ],
 )
 def test_row_slots_at_the_width_limits(monkeypatch, n_groups, ma, mb, width):
     """Slot sums of +-max|a| * max|b| * groups, the width bound, and 0
-    decode exactly; W is the bound's bit length plus a sign bit, in bytes."""
+    decode exactly; W holds the bound's bit length plus a sign bit, in the
+    least machine word of 1, 2, 4 or 8 bytes, or in whole bytes past 8."""
     monkeypatch.setattr(contract, "_row_path_pays", lambda *sizes: True)
     widths = []
     products = contract._row_products
 
-    def spy(stream, groups, s, sb, width):
+    def spy(stream, groups, s, row_class, classes, group_class, width):
         widths.append(width)
-        return products(stream, groups, s, sb, width)
+        return products(stream, groups, s, row_class, classes, group_class, width)
 
     monkeypatch.setattr(contract, "_row_products", spy)
     shared = range(1, n_groups + 1)
@@ -303,13 +306,107 @@ def test_row_slots_at_the_width_limits(monkeypatch, n_groups, ma, mb, width):
     merged, how = contract._merge(a, b, None)
     assert how == "row" and widths == [width]
     one, top = ma * mb, ma * mb * n_groups
-    assert top.bit_length() + 1 <= width < top.bit_length() + 9
+    assert top.bit_length() + 1 <= width
     # key bits: 20, 21, then 30, 31; slot 2 of rows 1 and 3 cancels to 0
     assert merged.edges == (20, 21, 30, 31)
     assert merged.data == {
         0: top, 1: -top, 2: top - one, 4: -one, 5: one,
         8: -top, 9: top, 10: one - top, 12: one, 13: -one,
     }
+
+
+# six-vertex weights, zero among them, for the sector-row tests: rational,
+# and Q(i, sqrt2) with coefficients of up to 40 bits
+SECTOR_POOLS = {
+    "rational": ("0", "1", "-1", "2", "-3", "1/2", "-5/3", "7"),
+    "zeta": (
+        "0", "1", "-1", "i", "(1)r2", "-(1i)r2", "1/3+(1/5+i)r2",
+        "123456789-987654321i+(-55555+77777i)r2", "(-424242424242+1i)r2",
+    ),
+}
+
+
+@pytest.mark.parametrize("pool", sorted(SECTOR_POOLS))
+def test_sector_rows_match_dict_path_and_brute_force(monkeypatch, pool):
+    """Seeded random six-vertex grids, one table per vertex, some with one
+    or two zero weights: the row path forced on every merge, and never
+    taken, both give brute force's Z; some row layouts have several
+    classes. Every tensor built is sectored, and popcount(key ^ flip) is
+    its charge on each of its keys."""
+    scalars = tuple(map(parse_scalar, SECTOR_POOLS[pool]))
+    rng = random.Random(f"sector-rows/{pool}")
+    merges = []
+    merge = contract._merge
+
+    def spy(a, b, width, partner=None):
+        out, how = merge(a, b, width, partner)
+        merges.append((how, out))
+        return out, how
+
+    monkeypatch.setattr(contract, "_merge", spy)
+    products = contract._row_products
+    layouts = []
+
+    def row_spy(stream, groups, s, row_class, classes, group_class, width):
+        layouts.append(len(classes))
+        return products(stream, groups, s, row_class, classes, group_class, width)
+
+    monkeypatch.setattr(contract, "_row_products", row_spy)
+    loops = parallel = zeros = 0
+    rows = {True: 0, False: 0}
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        sigs = {}
+        for v in range(n):
+            w = [rng.choice(scalars) for _ in range(6)]
+            for i in rng.sample(range(6), trial % 3):
+                w[i] = Scalar(0)
+            sigs[v] = from_six_vertex(SV(*w))
+        g = random_grid(rng, n, signatures=sigs)
+        want = brute_force_eval(g).value
+        for force in (True, False):
+            monkeypatch.setattr(contract, "_row_path_pays", lambda *sizes: force)
+            merges.clear()
+            res = contract_eval(g)
+            assert res.value == want, (trial, force)
+            assert res.stats["packed_merges"] == sum(how == "row" for how, _ in merges)
+            rows[force] += res.stats["packed_merges"]
+            for _, out in merges:
+                assert out.charge is not None
+                assert {(k ^ out.flip).bit_count() for k in out.data} <= {out.charge}
+        pairs = [frozenset((p.vertex, q.vertex)) for p, q in g.edges]
+        loops += any(len(pair) == 1 for pair in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        zeros += any(not x for s in sigs.values() for x in six_vertex_params(s))
+    assert loops and parallel and zeros
+    assert rows[True] > 0 and rows[False] == 0
+    assert max(layouts) > 1  # some row layouts split the keys into classes
+
+
+def test_general_tables_are_not_sectored():
+    """A table nonzero on inputs of two weights has no charge, and neither
+    has a merge it takes part in; a six-vertex table has charge 2 less one
+    per self-loop, and a merge of two has the sum less one per shared
+    edge."""
+    from sixvertex.signature import Signature
+
+    general = Signature(4, [Scalar(1)] * 16)
+    ice = from_six_vertex(ICE)
+    loop = {0: [(0, 0)], 1: [(1, 1)], 2: [(2, 0), (3, 1)]}
+    assert contract._vertex_tensor(general, loop).charge is None
+    t = contract._vertex_tensor(ice, loop)
+    assert t.charge == 1 and t.flip == 1 << 1
+    assert {(k ^ t.flip).bit_count() for k in t.data} == {1}
+    first = {0: [(0, 0)], 1: [(1, 0)], 5: [(2, 0)], 6: [(3, 0)]}
+    second = {0: [(2, 1)], 1: [(3, 1)], 7: [(0, 0)], 8: [(1, 1)]}
+    for sig, charge in ((general, None), (ice, 2)):
+        a, b = contract._vertex_tensor(sig, first), contract._vertex_tensor(ice, second)
+        contract._lift([a, b])
+        out, _ = contract._merge(a, b, 0)
+        # out edges 7, 8, 5, 6; 8's second end is in the cluster
+        assert out.edges == (7, 8, 5, 6) and out.flip == 1 << 1 and out.charge == charge
+        if charge is not None:
+            assert {(k ^ out.flip).bit_count() for k in out.data} == {charge}
 
 
 # Q(i, sqrt2) weights, so every merge packs zeta8 coordinates; two have
@@ -396,6 +493,19 @@ def test_zeta_widths_match_brute_force(monkeypatch):
     assert all(width > 0 for *_, width in merges)
     assert any(la and lb and not out for la, lb, out, _ in merges)  # empty output
     assert any(not (la and lb) for la, lb, *_ in merges)  # empty input
+
+
+def test_zeta_rows_forced_match_brute_force(monkeypatch):
+    """The row path forced on every Z[zeta8] merge of the corpus, general
+    tables included, whose rows have one class: Z is brute force's, and
+    some merges pack."""
+    monkeypatch.setattr(contract, "_row_path_pays", lambda *sizes: True)
+    packed = 0
+    for i, g in enumerate(zeta_corpus()):
+        res = contract_eval(g)
+        assert res.value == brute_force_eval(g).value, i
+        packed += res.stats["packed_merges"]
+    assert packed
 
 
 def test_max_width_records_the_widest_merge():
@@ -573,10 +683,16 @@ def test_ice_torus_10_exact():
     assert res.stats["pruned_merges"] == 0
 
 
-def test_packed_merges_counts_the_row_path():
+def test_packed_merges_counts_the_row_path(monkeypatch):
+    """Rational and Z[zeta8] merges both take the row path where the gate
+    says it pays, and packed_merges counts them; the small merges of a 4x4
+    torus do not pay, and with the gate shut no merge packs."""
     assert contract_eval(build_torus(8, ICE)).stats["packed_merges"] > 0
     r2 = SV(*map(parse_scalar, ("(1)r2", "1", "2", "1", "1", "1")))
+    assert contract_eval(build_torus(6, r2)).stats["packed_merges"] > 0
     assert contract_eval(build_torus(4, r2)).stats["packed_merges"] == 0
+    monkeypatch.setattr(contract, "_row_path_pays", lambda *sizes: False)
+    assert contract_eval(build_torus(6, r2)).stats["packed_merges"] == 0
 
 
 def test_torus_against_transfer_matrix():

@@ -329,6 +329,34 @@ class TestDispatch:
         (message,) = messages
         assert message.startswith("invalid grid: ") and "not on any edge" in message
 
+    def test_auto_falls_back_to_brute_force_validating_once(self, monkeypatch):
+        """solve(auto) validates the grid itself and hands it to brute force
+        unvalidated; brute_force_eval called directly still checks it, with
+        the same message."""
+        import sixvertex.contract as contract
+        import sixvertex.evaluate as evaluate
+        import sixvertex.solvers as solvers
+        from sixvertex.grid import validate
+
+        calls = []
+
+        def counted(grid):
+            calls.append(grid)
+            return validate(grid)
+
+        for module in (solvers, contract, evaluate):
+            monkeypatch.setattr(module, "validate", counted)
+        t = build_torus(2, SV(1, 1, 1, 1, 1, 1))
+        r = solve(t)
+        assert r.class_used == "brute" and r.value == Scalar(18)
+        assert len(calls) == 1
+        calls.clear()
+        assert brute_force_eval(t).value == Scalar(18)
+        assert len(calls) == 1
+        bad = SignatureGrid(t.vertices, t.edges[:-1])
+        with pytest.raises(ValueError, match="^invalid grid: .*not on any edge"):
+            brute_force_eval(bad)
+
     def test_hard_above_cap_refused(self):
         t = build_torus(4, SV(1, 1, 1, 1, 1, 1))  # 32 edges, hard params
         with pytest.raises(TooLargeError):
