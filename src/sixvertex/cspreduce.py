@@ -86,10 +86,7 @@ def csp_reduction(g: Signature, inst: CspInstance) -> CspReduction:
             t_i, (_, right) = occ[i]
             t_j, (left, _) = occ[(i + 1) % k]
             edges.append((Port(t_i, right), Port(t_j, left)))
-    grid = SignatureGrid(vertices, tuple(edges))
-    if inst.clauses:
-        grid.assert_valid()
-    return CspReduction(grid, multiplier)
+    return CspReduction(SignatureGrid(vertices, tuple(edges)), multiplier)
 
 
 def csp_brute_force(g: Signature, inst: CspInstance) -> Scalar:

@@ -4,6 +4,10 @@ An edge joins two ports (vertex, slot); the two edge ends carry complementary
 bits, which is exactly the orientation semantics of the six-vertex model
 (port bit 1 = edge points into that vertex at that end). Self-loops and
 parallel edges are first-class.
+
+A SignatureGrid is valid once built: its constructor runs validate and
+raises GridError unless every vertex has arity 4 and each of its ports
+lies on exactly one edge. Code that takes a grid does not check it again.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class SignatureGrid:
-    """vertices: id -> arity-4 signature; edges: unordered port pairs."""
+    """vertices: id -> arity-4 signature; edges: unordered port pairs,
+    each port on exactly one edge. Checked when built, so a grid that
+    exists is valid."""
 
     vertices: dict[int, Signature]
     edges: tuple[tuple[Port, Port], ...]
@@ -55,6 +61,9 @@ class SignatureGrid:
             (Port(*e[0]), Port(*e[1])) for e in edges
         )
         return cls(dict(vertices), edges)
+
+    def __post_init__(self):
+        self.assert_valid()
 
     def assert_valid(self):
         errors = validate(self)
@@ -86,6 +95,11 @@ def validate(grid: SignatureGrid) -> list[str]:
                 )
             else:
                 seen[port] = i
+    if len(seen) == 4 * len(grid.vertices) and all(
+        sig.arity == 4 for sig in grid.vertices.values()
+    ):
+        # every port of every vertex is on an edge: nothing left to name
+        return errors
     for v, sig in grid.vertices.items():
         if sig.arity != 4:
             errors.append(f"vertex {v}: arity {sig.arity}, grids need 4")
@@ -110,7 +124,7 @@ def build_torus(n: int, p: SixVertexParams) -> SignatureGrid:
             south = ((r + 1) % n) * n + c
             edges.append((Port(v, 1), Port(east, 3)))
             edges.append((Port(v, 2), Port(south, 0)))
-    return SignatureGrid(vertices, tuple(edges)).assert_valid()
+    return SignatureGrid(vertices, tuple(edges))
 
 
 def signature_to_json(f: Signature):
@@ -156,22 +170,32 @@ def grid_to_json(grid: SignatureGrid):
     }
 
 
+def _json_int(x, what: str) -> int:
+    """x, which must be a JSON integer: int() would truncate 1.9, read
+    true as 1 and "3" as 3."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be a JSON integer, got {json.dumps(x)}")
+    return x
+
+
+def _json_port(end) -> Port:
+    return Port(_json_int(end[0], "vertex id"), _json_int(end[1], "slot"))
+
+
 def grid_from_json(obj) -> SignatureGrid:
     try:
         vertices = {}
         for item in obj["vertices"]:
-            v = int(item["id"])
+            v = _json_int(item["id"], "vertex id")
             if v in vertices:
                 raise GridError(f"duplicate vertex id {v}")
             vertices[v] = signature_from_json(item["signature"])
-        edges = tuple(
-            (Port(int(e[0][0]), int(e[0][1])), Port(int(e[1][0]), int(e[1][1])))
-            for e in obj["edges"]
-        )
+        edges = tuple((_json_port(e[0]), _json_port(e[1])) for e in obj["edges"])
     except (GridError, ScalarParseError):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        # ValueError: a non-integer id or slot, or a SignatureError
+        # TypeError: an id or slot that is not a JSON integer;
+        # ValueError: a SignatureError
         raise GridError(f"malformed grid json: {exc}") from exc
     return SignatureGrid(vertices, edges)
 

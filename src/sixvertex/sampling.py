@@ -54,7 +54,7 @@ def random_grid(
     )
     if signatures is None:
         signatures = {v: signature for v in range(n_vertices)}
-    return SignatureGrid(signatures, edges).assert_valid()
+    return SignatureGrid(signatures, edges)
 
 
 def random_p_params(rng: random.Random) -> SixVertexParams:

@@ -96,25 +96,56 @@ def test_eval_methods_agree(tmp_path):
     assert len(set(values.values())) == 1
 
 
-def test_eval_malformed_port_exit2(tmp_path):
-    bad = {
-        "vertices": [{"id": 0, "signature": {"six_vertex": ["1"] * 6}}],
-        "edges": [[[0, 0], [0, 1]], [[0, 1], [0, 2]]],
-    }
+ONES = {"six_vertex": ["1"] * 6}
+
+
+@pytest.mark.parametrize(
+    "signature, edges, message",
+    [
+        (ONES, [[[0, 0], [0, 2]], [[0, 1], [5, 3]]],
+         "edge 1: unknown vertex 5; port (v0, slot 3) not on any edge"),
+        (ONES, [[[0, 0], [0, 2]], [[0, 1], [0, 4]]],
+         "edge 1: slot 4 out of range for vertex 0 (arity 4); "
+         "port (v0, slot 3) not on any edge"),
+        (ONES, [[[0, 0], [0, 1]], [[0, 1], [0, 2]]],
+         "port (v0, slot 1) used by edges 0 and 1; port (v0, slot 3) not on any edge"),
+        (ONES, [[[0, 0], [0, 2]]],
+         "port (v0, slot 1) not on any edge; port (v0, slot 3) not on any edge"),
+        ({"arity": 3, "values": ["1"] * 8}, [[[0, 0], [0, 2]]],
+         "vertex 0: arity 3, grids need 4"),
+        (ONES, [[[0, 0], [0, 2]], [[0, 1], [0, 1.9]]],
+         "malformed grid json: slot must be a JSON integer, got 1.9"),
+        (ONES, [[[0, 0], [0, 2]], [[0, 1], [0, True]]],
+         "malformed grid json: slot must be a JSON integer, got true"),
+        (ONES, [[[0, 0], [0, 2]], [[0, 1], [0.5, 3]]],
+         "malformed grid json: vertex id must be a JSON integer, got 0.5"),
+    ],
+    ids=[
+        "unknown-vertex", "slot-out-of-range", "port-used-twice", "uncovered-port",
+        "arity-3", "float-slot", "bool-slot", "float-vertex",
+    ],
+)
+def test_eval_malformed_port_exit2(tmp_path, signature, edges, message):
+    """Each defect of a grid file is refused with its own message when the
+    grid is built, before any method runs."""
+    bad = {"vertices": [{"id": 0, "signature": signature}], "edges": edges}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     r = run_cli("eval", str(path))
     assert r.returncode == 2
-    assert "slot 1" in r.stderr
+    assert r.stderr == f"input error: {message}\n" and r.stdout == ""
 
 
 @pytest.mark.parametrize(
     "vertex",
     [
-        {"id": "x", "signature": {"six_vertex": ["1"] * 6}},
+        {"id": "x", "signature": ONES},
         {"id": 0, "signature": {"arity": 4, "values": ["1"] * 15}},
+        {"id": 0.0, "signature": ONES},
+        {"id": 0.5, "signature": ONES},
+        {"id": False, "signature": ONES},
     ],
-    ids=["non-integer-id", "short-values"],
+    ids=["non-integer-id", "short-values", "float-id", "fractional-id", "bool-id"],
 )
 def test_eval_malformed_vertex_exit2(tmp_path, vertex):
     bad = {"vertices": [vertex], "edges": [[[0, 0], [0, 2]], [[0, 1], [0, 3]]]}

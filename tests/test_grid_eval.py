@@ -128,15 +128,27 @@ def test_enumerator_depth_is_not_bounded_by_recursion():
 def test_validate_ok_and_errors():
     g = loop_grid(ICE, ((0, 1), (2, 3)))
     assert validate(g) == []
-    bad = SignatureGrid(
-        {0: from_six_vertex(ICE)},
-        ((Port(0, 0), Port(0, 1)), (Port(0, 1), Port(0, 2))),
+    assert g.assert_valid() is g
+    # the constructor refuses the grid, naming each defect
+    with pytest.raises(GridError) as err:
+        SignatureGrid(
+            {0: from_six_vertex(ICE)},
+            ((Port(0, 0), Port(0, 1)), (Port(0, 1), Port(0, 2))),
+        )
+    assert str(err.value) == (
+        "port (v0, slot 1) used by edges 0 and 1; port (v0, slot 3) not on any edge"
     )
-    errors = validate(bad)
-    assert any("slot 1" in e for e in errors)
-    assert any("slot 3" in e for e in errors)
-    with pytest.raises(GridError):
-        bad.assert_valid()
+
+
+def test_torus_without_its_last_edge_cannot_be_built():
+    """Dropping an edge leaves two ports bare; such a grid is refused when it
+    is built, so no solver sees it (solve_P read it as 16, solve_A failed
+    with a KeyError)."""
+    t = build_torus(2, SV(1, 1, 1, 1, 0, 0))
+    with pytest.raises(GridError, match="not on any edge"):
+        SignatureGrid(t.vertices, t.edges[:-1])
+    with pytest.raises(GridError, match="not on any edge"):
+        SignatureGrid.build(t.vertices, t.edges[:-1])
 
 
 def test_empty_grid_value_one():

@@ -298,64 +298,38 @@ class TestDispatch:
             r = solve(t, method=method)
             assert r.class_used == label and r.value == want
 
-    def test_validates_the_grid_once(self, monkeypatch):
-        """solve(brute) and solve(contract) validate the grid once, in the
-        method they hand it to, and an invalid grid gets the same message
-        whichever method is asked for."""
+    def test_no_method_validates_a_built_grid(self, monkeypatch):
+        """A grid is checked once, when it is built: no evaluator, solver or
+        dispatch path calls validate again, whichever name it is bound to."""
         import sixvertex.contract as contract
         import sixvertex.evaluate as evaluate
+        import sixvertex.grid as grid
         import sixvertex.solvers as solvers
-        from sixvertex.grid import validate
 
+        t = build_torus(2, SV(1, 0, 0, 1, 0, 0))  # in P, A and M
+        hard = build_torus(2, SV(1, 1, 1, 1, 1, 1))  # auto falls back to brute
         calls = []
+        validate = grid.validate
 
-        def counted(grid):
-            calls.append(grid)
-            return validate(grid)
+        def counted(g):
+            calls.append(g)
+            return validate(g)
 
-        for module in (solvers, contract, evaluate):
+        for module in (grid, solvers, contract, evaluate):
             monkeypatch.setattr(module, "validate", counted)
-        t = build_torus(2, SV(1, 0, 1, 0, 1, 0))
-        for method in ("brute", "contract"):
-            calls.clear()
-            solve(t, method=method)
-            assert len(calls) == 1, method
-        bad = SignatureGrid(t.vertices, t.edges[:-1])
-        messages = set()
-        for method in solvers.METHODS:
-            with pytest.raises(ValueError) as err:
-                solve(bad, method=method)
-            messages.add(str(err.value))
-        (message,) = messages
-        assert message.startswith("invalid grid: ") and "not on any edge" in message
-
-    def test_auto_falls_back_to_brute_force_validating_once(self, monkeypatch):
-        """solve(auto) validates the grid itself and hands it to brute force
-        unvalidated; brute_force_eval called directly still checks it, with
-        the same message."""
-        import sixvertex.contract as contract
-        import sixvertex.evaluate as evaluate
-        import sixvertex.solvers as solvers
-        from sixvertex.grid import validate
-
-        calls = []
-
-        def counted(grid):
-            calls.append(grid)
-            return validate(grid)
-
-        for module in (solvers, contract, evaluate):
-            monkeypatch.setattr(module, "validate", counted)
-        t = build_torus(2, SV(1, 1, 1, 1, 1, 1))
-        r = solve(t)
+        evaluate.eval_bipartite_equality(t)
+        values = [
+            brute_force_eval(t).value,
+            contract.contract_eval(t).value,
+            solve_P(t),
+            solve_A(t),
+            solve_M(t),
+            *(solve(t, method=method).value for method in solvers.METHODS),
+        ]
+        assert values == [Scalar(4)] * len(values)
+        r = solve(hard)
         assert r.class_used == "brute" and r.value == Scalar(18)
-        assert len(calls) == 1
-        calls.clear()
-        assert brute_force_eval(t).value == Scalar(18)
-        assert len(calls) == 1
-        bad = SignatureGrid(t.vertices, t.edges[:-1])
-        with pytest.raises(ValueError, match="^invalid grid: .*not on any edge"):
-            brute_force_eval(bad)
+        assert calls == []
 
     def test_hard_above_cap_refused(self):
         t = build_torus(4, SV(1, 1, 1, 1, 1, 1))  # 32 edges, hard params
