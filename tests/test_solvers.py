@@ -8,7 +8,7 @@ from sixvertex.evaluate import (
     brute_force_eval,
     torus_transfer_matrix_value,
 )
-from sixvertex.grid import Port, SignatureGrid, build_torus
+from sixvertex.grid import GridError, Port, SignatureGrid, build_torus
 from sixvertex.sampling import (
     random_a_params,
     random_grid,
@@ -298,16 +298,14 @@ class TestDispatch:
             r = solve(t, method=method)
             assert r.class_used == label and r.value == want
 
-    def test_no_method_validates_a_built_grid(self, monkeypatch):
-        """A grid is checked once, when it is built: no evaluator, solver or
-        dispatch path calls validate again, whichever name it is bound to."""
+    @staticmethod
+    def _count_validate(monkeypatch):
+        """Spy on validate under every name it is bound to; returns the calls."""
         import sixvertex.contract as contract
         import sixvertex.evaluate as evaluate
         import sixvertex.grid as grid
         import sixvertex.solvers as solvers
 
-        t = build_torus(2, SV(1, 0, 0, 1, 0, 0))  # in P, A and M
-        hard = build_torus(2, SV(1, 1, 1, 1, 1, 1))  # auto falls back to brute
         calls = []
         validate = grid.validate
 
@@ -317,6 +315,19 @@ class TestDispatch:
 
         for module in (grid, solvers, contract, evaluate):
             monkeypatch.setattr(module, "validate", counted)
+        return calls
+
+    def test_validates_the_grid_once(self, monkeypatch):
+        """A grid is checked once, when it is built: no evaluator, solver or
+        solve method calls validate again, and an invalid grid cannot be
+        built at all."""
+        import sixvertex.contract as contract
+        import sixvertex.evaluate as evaluate
+        import sixvertex.solvers as solvers
+
+        calls = self._count_validate(monkeypatch)
+        t = build_torus(2, SV(1, 0, 0, 1, 0, 0))  # in P, A and M
+        assert calls == [t]
         evaluate.eval_bipartite_equality(t)
         values = [
             brute_force_eval(t).value,
@@ -327,9 +338,19 @@ class TestDispatch:
             *(solve(t, method=method).value for method in solvers.METHODS),
         ]
         assert values == [Scalar(4)] * len(values)
-        r = solve(hard)
+        assert calls == [t]
+        with pytest.raises(GridError, match="not on any edge"):
+            SignatureGrid(t.vertices, t.edges[:-1])
+
+    def test_auto_falls_back_to_brute_force_validating_once(self, monkeypatch):
+        """solve(auto) on a hard tuple hands the grid to brute force, and the
+        only check of the grid is the one made when it was built."""
+        calls = self._count_validate(monkeypatch)
+        t = build_torus(2, SV(1, 1, 1, 1, 1, 1))
+        r = solve(t)
         assert r.class_used == "brute" and r.value == Scalar(18)
-        assert calls == []
+        assert brute_force_eval(t).value == Scalar(18)
+        assert calls == [t]
 
     def test_hard_above_cap_refused(self):
         t = build_torus(4, SV(1, 1, 1, 1, 1, 1))  # 32 edges, hard params
