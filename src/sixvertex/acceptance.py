@@ -6,6 +6,7 @@ as float tolerances.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .evaluate import (
     eval_bipartite_equality,
 )
 from .gadgets import (
+    DET_DOMAIN,
     chain_D,
     closed_form_D,
     hardness_determinant,
@@ -209,12 +211,9 @@ def criterion_5_gadget_identities(rng: random.Random):
                 return False, "Lambda_s row for (b-c)^s not collapsed at b=c"
             if sign == -1 and any(lam[1][j] for j in range(4)):
                 return False, "Lambda_s row for (b+c)^s not collapsed at b=-c"
-    dom = (ZERO, Scalar(0, 1), Scalar(0, -1))
-    for x in dom:
-        for y in dom:
-            for z in dom:
-                if not hardness_determinant(x, y, z):
-                    return False, f"determinant zero at {(x, y, z)}"
+    for triple in itertools.product(DET_DOMAIN, repeat=3):
+        if not hardness_determinant(*triple):
+            return False, f"determinant zero at {triple}"
     return True, "chains, pair products, Lambda collapse, 27 determinants"
 
 

@@ -13,6 +13,7 @@ approximations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from .classify import classify
 from .contract import DEFAULT_RANK_CAP, contract_eval
 from .evaluate import DEFAULT_EDGE_CAP, TooLargeError
 from .gadgets import (
+    DET_DOMAIN,
     GadgetError,
     chain_D,
     closed_form_D,
@@ -204,15 +206,13 @@ def cmd_torus(args) -> int:
 def cmd_gadget(args) -> int:
     kind = args.kind
     if kind == "det27":
-        dom = ("0", "0+1i", "0-1i")
-        rows = []
-        for x in dom:
-            for y in dom:
-                for z in dom:
-                    d = hardness_determinant(
-                        parse_scalar(x), parse_scalar(y), parse_scalar(z)
-                    )
-                    rows.append({"triple": [x, y, z], "det": format_scalar(d)})
+        rows = [
+            {
+                "triple": [format_scalar(v) for v in triple],
+                "det": format_scalar(hardness_determinant(*triple)),
+            }
+            for triple in itertools.product(DET_DOMAIN, repeat=3)
+        ]
         ok = all(r["det"] != "0" for r in rows)
         _emit({"all_nonzero": ok, "rows": rows if args.json else len(rows)}, args.json)
         return EXIT_OK

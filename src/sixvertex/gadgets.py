@@ -33,6 +33,7 @@ __all__ = [
     "mnm_product",
     "mnm_product_signature",
     "hardness_determinant",
+    "DET_DOMAIN",
     "one_zero_chain",
     "OneZeroChain",
     "two_zero_product",
@@ -118,7 +119,7 @@ def mnm_product_signature(p: SixVertexParams) -> Signature:
     return product_of_views(f, ((1, 2), (4, 3)), f, ((4, 3), (1, 2)))
 
 
-_DET_DOMAIN = (ZERO, Scalar(0, 1), Scalar(0, -1))
+DET_DOMAIN = (ZERO, Scalar(0, 1), Scalar(0, -1))
 
 
 def hardness_determinant(alpha, beta, gamma) -> Scalar:
@@ -126,7 +127,7 @@ def hardness_determinant(alpha, beta, gamma) -> Scalar:
     for all 27 triples, which is what blocks the failure conditions."""
     alpha, beta, gamma = (as_scalar(v) for v in (alpha, beta, gamma))
     for v in (alpha, beta, gamma):
-        if v not in _DET_DOMAIN:
+        if v not in DET_DOMAIN:
             raise GadgetError(f"argument {v} outside {{0, i, -i}}")
     return alpha * beta * gamma - 2 - alpha - beta - gamma
 

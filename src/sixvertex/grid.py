@@ -178,8 +178,17 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+def _json_pair(x, what: str):
+    """x, which must be a JSON array of two items: indexing it would drop a
+    third."""
+    if not isinstance(x, (list, tuple)) or len(x) != 2:
+        raise TypeError(f"{what} must be a JSON array of 2 items, got {json.dumps(x)}")
+    return x
+
+
 def _json_port(end) -> Port:
-    return Port(_json_int(end[0], "vertex id"), _json_int(end[1], "slot"))
+    v, slot = _json_pair(end, "port")
+    return Port(_json_int(v, "vertex id"), _json_int(slot, "slot"))
 
 
 def grid_from_json(obj) -> SignatureGrid:
@@ -190,12 +199,14 @@ def grid_from_json(obj) -> SignatureGrid:
             if v in vertices:
                 raise GridError(f"duplicate vertex id {v}")
             vertices[v] = signature_from_json(item["signature"])
-        edges = tuple((_json_port(e[0]), _json_port(e[1])) for e in obj["edges"])
+        edges = tuple(
+            tuple(map(_json_port, _json_pair(e, "edge"))) for e in obj["edges"]
+        )
     except (GridError, ScalarParseError):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
-        # TypeError: an id or slot that is not a JSON integer;
-        # ValueError: a SignatureError
+        # TypeError: an id or slot that is not a JSON integer, or an edge
+        # or port that is not a pair; ValueError: a SignatureError
         raise GridError(f"malformed grid json: {exc}") from exc
     return SignatureGrid(vertices, edges)
 

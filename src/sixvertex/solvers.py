@@ -1,13 +1,16 @@
 """Polynomial-time exact solvers for the three tractable classes, plus the
 dispatching solve() front end.
 
-solve_P propagates pattern choices across tensor-factor blocks; solve_A
-gives each edge one GF(2) variable, assembles the vertices' parity checks and
-one global Z4 quadratic phase, substitutes the echelon rows' pivots in order,
-and evaluates the rest as a Gauss sum; solve_M pins the shared-value slots,
-propagates, and counts the two token orientations of each residual cycle.
-Each solver tests every distinct signature once for membership in its class,
-in vertex order, and raises SolverError at the first vertex outside it.
+solve_P and solve_M both end in one two-state component sum over nodes in
+state 0 or 1 under XOR links: per connected component, the sum of its two
+consistent state products. solve_P's nodes are the tensor-factor blocks;
+solve_M pins the shared-value slots, propagates, and makes each residual
+vertex a node whose state says which open port holds its token. solve_A
+gives each edge one GF(2) variable, reads each vertex's parity checks off
+its in_A certificate, builds one global Z4 quadratic phase, substitutes the
+echelon rows' pivots in order and evaluates the rest as a Gauss sum. Each
+solver tests every distinct signature once for membership in its class, in
+vertex order, and raises SolverError at the first vertex outside it.
 solve(auto) tries solve_P, solve_A and solve_M in that order, moves on when
 one raises SolverError, and then falls back to brute force or refuses.
 Every solver's correctness gate is exact agreement with brute force.
@@ -66,12 +69,39 @@ def _class_reports(grid: SignatureGrid, test, refusal, member=None):
     return reports
 
 
-def _partner_map(grid: SignatureGrid):
-    partner = {}
-    for p, q in grid.edges:
-        partner[p] = q
-        partner[q] = p
-    return partner
+def _two_state_sum(values, adj):
+    """Sum over states s_u in {0, 1} with s_u ^ s_v == d for each (v, d) in
+    adj[u] of the product of values[u][s_u]; a one-value node takes state 0.
+    One connected component at a time: ZERO on a parity conflict or a zero
+    component."""
+    parity = [None] * len(values)
+    total = ONE
+    for root in range(len(values)):
+        if parity[root] is not None:
+            continue
+        parity[root] = 0
+        comp = [root]
+        for u in comp:  # grows while scanned: a breadth-first walk
+            for v, d in adj[u]:
+                if parity[v] is None:
+                    parity[v] = parity[u] ^ d
+                    comp.append(v)
+                elif parity[v] != parity[u] ^ d:
+                    return ZERO
+        comp_value = ZERO
+        for flip in (0, 1):
+            weight = ONE
+            for u in comp:
+                s = parity[u] ^ flip
+                if s >= len(values[u]):
+                    break
+                weight = weight * values[u][s]
+            else:
+                comp_value = comp_value + weight
+        if not comp_value:
+            return ZERO
+        total = total * comp_value
+    return total
 
 
 # ---------------------------------------------------------------- P solver
@@ -81,19 +111,15 @@ def solve_P(grid: SignatureGrid) -> Scalar:
     reports = _class_reports(grid, in_P, "is not in the product class")
     if reports is None:
         return ZERO
-    blocks = []  # (ports, strings, values)
+    blocks = []
     port_block: dict[Port, tuple[int, int]] = {}  # port -> (block, local pos)
     for v in sorted(grid.vertices):
         for factor in reports[grid.vertices[v]].factors:
-            bid = len(blocks)
             for i, pos in enumerate(factor.var_positions):
-                port_block[Port(v, pos)] = (bid, i)
+                port_block[Port(v, pos)] = (len(blocks), i)
             blocks.append(factor)
 
-    # XOR constraints between block states: state 1 means the complemented
-    # string; single-string blocks admit state 0 only.
-    nblocks = len(blocks)
-    adj: dict[int, list[tuple[int, int]]] = {b: [] for b in range(nblocks)}
+    adj = [[] for _ in blocks]  # a block's state 1 is its complemented string
     for p, q in grid.edges:
         pb, pi = port_block[p]
         qb, qi = port_block[q]
@@ -104,62 +130,21 @@ def solve_P(grid: SignatureGrid) -> Scalar:
         d = 1 ^ up ^ uq  # s_p xor s_q must equal d
         adj[pb].append((qb, d))
         adj[qb].append((pb, d))
-
-    seen = [False] * nblocks
-    total = ONE
-    for root in range(nblocks):
-        if seen[root]:
-            continue
-        comp = []
-        parity = {root: 0}
-        stack = [root]
-        seen[root] = True
-        consistent = True
-        while stack:
-            b = stack.pop()
-            comp.append(b)
-            for nb, d in adj[b]:
-                want = parity[b] ^ d
-                if nb in parity:
-                    if parity[nb] != want:
-                        consistent = False
-                else:
-                    parity[nb] = want
-                    seen[nb] = True
-                    stack.append(nb)
-        if not consistent:
-            return ZERO
-        comp_value = ZERO
-        for s_root in (0, 1):
-            weight = ONE
-            ok = True
-            for b in comp:
-                s = parity[b] ^ s_root
-                if s >= len(blocks[b].strings):
-                    ok = False
-                    break
-                weight = weight * blocks[b].values[s]
-            if ok:
-                comp_value = comp_value + weight
-        if not comp_value:
-            return ZERO
-        total = total * comp_value
-    return total
+    return _two_state_sum([b.values for b in blocks], adj)
 
 
 # ---------------------------------------------------------------- A solver
 
 
-def _parity_checks(f):
-    """f's affine support as parity checks over its 4 ports: the
-    (positions, parity) pairs that every support string meets."""
-    support = f.support()
+def _parity_checks(cert):
+    """The support base ^ span(basis) as parity checks over the 4 ports: for
+    each mask orthogonal to every basis row, its positions and its parity
+    at base."""
     checks = []
-    for mask4 in range(1, 16):
-        dots = {bin(mask4 & s).count("1") & 1 for s in support}
-        if len(dots) == 1:
-            positions = [pos for pos in range(4) if (mask4 >> (3 - pos)) & 1]
-            checks.append((positions, dots.pop()))
+    for mask in range(1, 16):
+        if not any((mask & b).bit_count() & 1 for b in cert.basis):
+            positions = [pos for pos in range(4) if bit_of(mask, pos, 4)]
+            checks.append((positions, (mask & cert.base).bit_count() & 1))
     return checks
 
 
@@ -174,7 +159,7 @@ def solve_A(grid: SignatureGrid) -> Scalar:
         ends[p] = (e, 0)
         ends[q] = (e, 1)
 
-    checks = {f: _parity_checks(f) for f in reports}
+    checks = {f: _parity_checks(report.certificate) for f, report in reports.items()}
     system = LinearSystemGF2(len(grid.edges))
     phase = QuadraticPhase()
     prefactor = ONE
@@ -264,8 +249,10 @@ def solve_M(grid: SignatureGrid) -> Scalar:
     pin_val = {v: pin[f][1] for v, f in grid.vertices.items()}
     weights = {v: sig_weights[f] for v, f in grid.vertices.items()}
 
-    partner = _partner_map(grid)
-    values: dict[Port, int] = {}
+    partner = {}
+    for p, q in grid.edges:
+        partner[p], partner[q] = q, p
+    bits: dict[Port, int] = {}
     token: dict[int, int | None] = dict.fromkeys(grid.vertices, None)
     candidates = {
         v: {k for k in range(4) if k != pin_slot[v]} for v in grid.vertices
@@ -273,11 +260,11 @@ def solve_M(grid: SignatureGrid) -> Scalar:
     queue = [(Port(v, pin_slot[v]), pin_val[v]) for v in sorted(grid.vertices)]
     while queue:
         port, b = queue.pop()
-        if port in values:
-            if values[port] != b:
+        if port in bits:
+            if bits[port] != b:
                 return ZERO
             continue
-        values[port] = b
+        bits[port] = b
         queue.append((partner[port], 1 - b))
         v, slot = port
         if slot == pin_slot[v]:
@@ -304,54 +291,32 @@ def solve_M(grid: SignatureGrid) -> Scalar:
             if not total:
                 return ZERO
 
+    # A residual vertex's state says which of its two open ports holds the
+    # token, 0 the lower; each free edge carries exactly one token end.
     residual = [v for v in grid.vertices if token[v] is None]
-    open_ports = {v: sorted(candidates[v]) for v in residual}
+    node = {v: u for u, v in enumerate(residual)}
     for v in residual:
-        for k in open_ports[v]:
-            q = partner[Port(v, k)]
-            if 1 ^ pin_val[v] ^ pin_val[q.vertex] == 0:
+        candidates[v] = sorted(candidates[v])  # the open ports
+    adj = []
+    for v in residual:
+        links = []
+        for k in candidates[v]:
+            w, slot = partner[Port(v, k)]
+            if pin_val[v] != pin_val[w]:
                 raise MixedChiralityError(
-                    f"vertices {v} and {q.vertex} pin opposite values across "
+                    f"vertices {v} and {w} pin opposite values across "
                     "a free edge; falling back is required"
                 )
-    done = set()
-    for v0 in sorted(residual):
-        if v0 in done:
-            continue
-        if len(open_ports[v0]) != 2:
+            d = 1 ^ (k == candidates[v][0]) ^ (slot == candidates[w][0])
+            links.append((node[w], d))
+        adj.append(tuple(links))  # not the list: keeps large tori's heap flat
+    values = []
+    for v in residual:
+        if len(candidates[v]) != 2:
             return ZERO  # residual degree != 2: no token assignment exists
-        comp_value = ZERO
-        for start in open_ports[v0]:
-            weight = ONE
-            fired = {}
-            cur_v, fire = v0, start
-            good = True
-            while True:
-                if len(open_ports[cur_v]) != 2:
-                    good = False
-                    break
-                fired[cur_v] = fire
-                weight = weight * weights[cur_v][fire]
-                nxt = partner[Port(cur_v, fire)]
-                if nxt.vertex in fired:
-                    a, b = open_ports[v0]
-                    other0 = a if start == b else b
-                    good = nxt.vertex == v0 and nxt.slot == other0
-                    break
-                if nxt.vertex not in open_ports or len(open_ports[nxt.vertex]) != 2:
-                    good = False
-                    break
-                pa, pb = open_ports[nxt.vertex]
-                fire = pa if nxt.slot == pb else pb
-                cur_v = nxt.vertex
-            if good:
-                comp_value = comp_value + weight
-            done.update(fired)
-            done.add(v0)
-        if not comp_value:
-            return ZERO
-        total = total * comp_value
-    return total
+        a, b = candidates[v]
+        values.append((weights[v][a], weights[v][b]))
+    return total * _two_state_sum(values, adj)
 
 
 # --------------------------------------------------------------- dispatch

@@ -119,10 +119,16 @@ ONES = {"six_vertex": ["1"] * 6}
          "malformed grid json: slot must be a JSON integer, got true"),
         (ONES, [[[0, 0], [0, 2]], [[0, 1], [0.5, 3]]],
          "malformed grid json: vertex id must be a JSON integer, got 0.5"),
+        (ONES, [[[0, 0], [0, 2], [7, 7]], [[0, 1], [0, 3]]],
+         "malformed grid json: edge must be a JSON array of 2 items, "
+         "got [[0, 0], [0, 2], [7, 7]]"),
+        (ONES, [[[0, 0], [0, 2]], [[0, 1, 9], [0, 3]]],
+         "malformed grid json: port must be a JSON array of 2 items, got [0, 1, 9]"),
     ],
     ids=[
         "unknown-vertex", "slot-out-of-range", "port-used-twice", "uncovered-port",
-        "arity-3", "float-slot", "bool-slot", "float-vertex",
+        "arity-3", "float-slot", "bool-slot", "float-vertex", "three-port-edge",
+        "three-number-port",
     ],
 )
 def test_eval_malformed_port_exit2(tmp_path, signature, edges, message):

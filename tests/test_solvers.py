@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
+from sixvertex.classify import in_A, in_P
 from sixvertex.evaluate import (
     TooLargeError,
     brute_force_eval,
@@ -10,16 +13,19 @@ from sixvertex.evaluate import (
 )
 from sixvertex.grid import GridError, Port, SignatureGrid, build_torus
 from sixvertex.sampling import (
+    NONZERO_POOL,
+    SCALAR_POOL,
     random_a_params,
     random_grid,
     random_m_params,
     random_p_params,
 )
-from sixvertex.scalar import Scalar, ZERO
-from sixvertex.signature import SixVertexParams, from_six_vertex
+from sixvertex.scalar import I, Scalar, ZERO
+from sixvertex.signature import Signature, SixVertexParams, bit_of, from_six_vertex
 from sixvertex.solvers import (
     MixedChiralityError,
     SolverError,
+    _parity_checks,
     solve,
     solve_A,
     solve_M,
@@ -34,6 +40,104 @@ def loop_grid(params, pairing):
     return SignatureGrid(
         {0: sig}, tuple((Port(0, a), Port(0, b)) for a, b in pairing)
     )
+
+
+def components(nodes, links):
+    """The number of connected components of a small multigraph."""
+    label = {u: u for u in nodes}
+    for _ in label:
+        for a, b in links:
+            label[a] = label[b] = min(label[a], label[b])
+    return len(set(label.values()))
+
+
+def unary_product(rng):
+    """A tensor product of four unaries, each with a nonzero value and some
+    with a zero: in P, with single-string factors."""
+    parts = []
+    for _ in range(4):
+        part = [rng.choice(SCALAR_POOL), rng.choice(NONZERO_POOL)]
+        rng.shuffle(part)
+        parts.append(part)
+    values = []
+    for idx in range(16):
+        prod = Scalar(1)
+        for pos in range(4):
+            prod = prod * parts[pos][bit_of(idx, pos, 4)]
+        values.append(prod)
+    return Signature(4, values)
+
+
+def m_signature(rng, extra_zero):
+    """One zero in each pair, at random, so both pin values occur at every
+    slot; each other value is an extra zero with probability extra_zero."""
+    vals = []
+    for _ in range(3):
+        u = ZERO if rng.random() < extra_zero else rng.choice(NONZERO_POOL)
+        vals.extend((u, ZERO) if rng.random() < 0.5 else (ZERO, u))
+    return from_six_vertex(SixVertexParams(*vals))
+
+
+def pin_of(f):
+    """The first slot every support string of f shares, with its bit."""
+    s0 = f.support()[0]
+    slot = next(
+        k for k in range(4)
+        if all(bit_of(s, k, 4) == bit_of(s0, k, 4) for s in f.support())
+    )
+    return slot, bit_of(s0, slot, 4)
+
+
+def pins_joined_grid(rng, sigs):
+    """A random grid whose only edges between vertices of opposite pin
+    values join two pins. With one pin value every residual vertex of
+    solve_M has two open ports, so a residual of degree 3 needs pins of both
+    values, joined to each other."""
+    pins = {v: pin_of(f) for v, f in sigs.items()}
+    by_val = [[v for v in sigs if pins[v][1] == b] for b in (0, 1)]
+    m = min(map(len, by_val)) // 2 * 2  # an even number keeps each side even
+    edges = [
+        (Port(a, pins[a][0]), Port(b, pins[b][0]))
+        for a, b in zip(by_val[0][:m], by_val[1][:m])
+    ]
+    for side in by_val:
+        ports = [
+            Port(v, k) for j, v in enumerate(side) for k in range(4)
+            if j >= m or k != pins[v][0]
+        ]
+        rng.shuffle(ports)
+        edges += zip(ports[::2], ports[1::2])
+    return SignatureGrid(sigs, tuple(edges))
+
+
+def open_ports_after_propagation(grid):
+    """The ports whose bit arc consistency over the vertices' supports leaves
+    open, or None when it empties a support. For signatures with three
+    support strings (a pin, and a token on one of the other slots) this is
+    solve_M's propagation, and the open ports are its residual's."""
+    partner = {}
+    for p, q in grid.edges:
+        partner[p], partner[q] = q, p
+    known = {}
+    changed = True
+    while changed:
+        changed = False
+        for v, f in grid.vertices.items():
+            fits = [
+                s for s in f.support()
+                if all(known.get(Port(v, k), bit_of(s, k, 4)) == bit_of(s, k, 4)
+                       for k in range(4))
+            ]
+            if not fits:
+                return None
+            for k in range(4):
+                p, b = Port(v, k), bit_of(fits[0], k, 4)
+                if p not in known and all(bit_of(s, k, 4) == b for s in fits):
+                    if known.get(partner[p], 1 - b) != 1 - b:
+                        return None
+                    known[p], known[partner[p]] = b, 1 - b
+                    changed = True
+    return set(partner) - set(known)
 
 
 class TestSolveP:
@@ -64,6 +168,35 @@ class TestSolveP:
             grid = random_grid(rng, n, signatures=sigs)
             assert solve_P(grid) == brute_force_eval(grid).value
 
+    def test_several_components_with_single_string_blocks(self):
+        """Grids whose blocks fall into several components, some of the
+        blocks with a single string, against brute force."""
+        rng = random.Random(43)
+        reached = Counter()
+        for _ in range(120):
+            n = rng.randint(1, 6)
+            sigs = {
+                v: unary_product(rng) if rng.random() < 0.5
+                else from_six_vertex(random_p_params(rng))
+                for v in range(n)
+            }
+            grid = random_grid(rng, n, signatures=sigs)
+            want = brute_force_eval(grid).value
+            assert solve_P(grid) == want
+            if any(f.is_zero() for f in sigs.values()):
+                continue
+            block = {}
+            for v, f in sigs.items():
+                for i, factor in enumerate(in_P(f).factors):
+                    for pos in factor.var_positions:
+                        block[Port(v, pos)] = (v, i, len(factor.strings))
+            links = [(block[p], block[q]) for p, q in grid.edges]
+            if components(set(block.values()), links) >= 2 and any(
+                b[2] == 1 for b in block.values()
+            ):
+                reached["zero" if want == ZERO else "nonzero"] += 1
+        assert reached["zero"] and reached["nonzero"]
+
 
 class TestSolveA:
     def test_spec_examples(self):
@@ -75,6 +208,40 @@ class TestSolveA:
         grid = loop_grid(SV(0, 0, 1, 1, 0, 0), ((0, 1), (2, 3)))
         brute = brute_force_eval(grid).value
         assert solve_A(grid) == brute
+
+    def test_parity_checks_match_a_support_scan(self):
+        """The checks read off an in_A certificate are, in mask order, the
+        masks whose parity is constant on the support: for every member over
+        {0, +-1, +-i}^6 and for every affine support in {0,1}^4."""
+        sigs = [
+            from_six_vertex(SixVertexParams(*vals))
+            for vals in product((ZERO, Scalar(1), Scalar(-1), I, -I), repeat=6)
+        ]
+        supports = set()
+        for d in range(5):
+            for gens in combinations(range(1, 16), d):
+                span = {0}
+                for g in gens:
+                    span |= {x ^ g for x in span}
+                supports |= {frozenset(x ^ base for x in span) for base in range(16)}
+        assert len(supports) == 307  # the affine subspaces of {0,1}^4
+        sigs += [
+            Signature(4, [Scalar(int(s in support)) for s in range(16)])
+            for support in supports
+        ]
+        members = 0
+        for f in sigs:
+            report = in_A(f)
+            if not report.member or report.is_zero:
+                continue
+            members += 1
+            want = []
+            for mask in range(1, 16):
+                dots = {(mask & s).bit_count() & 1 for s in f.support()}
+                if len(dots) == 1:
+                    want.append(([k for k in range(4) if bit_of(mask, k, 4)], dots.pop()))
+            assert _parity_checks(report.certificate) == want
+        assert members == 648 + 307
 
     def test_rejects_non_member(self):
         with pytest.raises(SolverError):
@@ -159,6 +326,49 @@ class TestSolveM:
                 sigs[v] = from_six_vertex(SixVertexParams(*vals))
             grid = random_grid(rng, n, signatures=sigs)
             assert solve_M(grid) == brute_force_eval(grid).value
+
+    def test_pins_of_both_values_match_brute_force(self):
+        """Random 1-6-vertex grids whose signatures mix pin slots and values,
+        some with extra zeros, against brute force; a MixedChiralityError is
+        counted, not compared. Where every signature has three support
+        strings, the residual is read off open_ports_after_propagation: the
+        corpus must reach two or more residual cycles, a residual self-loop
+        and a residual degree other than 2, as well as a refusal."""
+        rng = random.Random(50)
+        reached = Counter()
+        for i in range(400):
+            n = rng.randint(1, 6)
+            if i % 2:
+                sigs = {v: m_signature(rng, 0.0) for v in range(n)}
+                grid = pins_joined_grid(rng, sigs)
+            else:
+                extra_zero = rng.choice((0.0, 0.2))
+                sigs = {v: m_signature(rng, extra_zero) for v in range(n)}
+                grid = random_grid(rng, n, signatures=sigs)
+            try:
+                value = solve_M(grid)
+            except MixedChiralityError:
+                reached["refusal"] += 1
+                continue
+            assert value == brute_force_eval(grid).value
+            if any(len(f.support()) != 3 for f in sigs.values()):
+                continue
+            open_ports = open_ports_after_propagation(grid)
+            if not open_ports:
+                continue
+            degree = Counter(p.vertex for p in open_ports)
+            if set(degree.values()) != {2}:
+                assert value == ZERO
+                reached["degree other than 2"] += 1
+                continue
+            free = [(p, q) for p, q in grid.edges if p in open_ports]
+            if any(p.vertex == q.vertex for p, q in free):
+                reached["self-loop"] += 1
+            if components(degree, [(p.vertex, q.vertex) for p, q in free]) >= 2:
+                reached["two or more cycles"] += 1
+        assert set(reached) == {
+            "refusal", "degree other than 2", "self-loop", "two or more cycles",
+        }, reached
 
     def test_mixed_chirality_raises_and_auto_falls_back(self):
         v_sig = from_six_vertex(SV(1, 0, 1, 0, 1, 0))
